@@ -103,6 +103,19 @@ class Watchdog {
   bool stop_ = false;
 };
 
+// In-place transpose of a 64×64 bit matrix (bit c of m[r] is element
+// (r, c)): swaps the off-diagonal blocks at sizes 32, 16, ..., 1.
+void transpose_bits64(std::uint64_t* m) {
+  std::uint64_t mask = 0x00000000FFFFFFFFull;
+  for (unsigned j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((m[k] >> j) ^ m[k | j]) & mask;
+      m[k] ^= t << j;
+      m[k | j] ^= t;
+    }
+  }
+}
+
 std::string escape_diagnostic(const core::ProtectionRunResult& r) {
   if (r.livelocked) return "protocol livelocked";
   std::ostringstream os;
@@ -224,6 +237,48 @@ std::vector<std::vector<bool>> CampaignEngine::strike_inputs(
     for (std::size_t i = 0; i < vec.size(); ++i) vec[i] = rng.next_bool();
   }
   return inputs;
+}
+
+void CampaignEngine::strike_inputs_packed(
+    const Netlist& netlist, std::size_t cycles, std::uint64_t seed,
+    const std::vector<std::size_t>& strike_indices, std::size_t lanes,
+    std::vector<std::uint64_t>& stimulus) {
+  CWSP_REQUIRE(lanes % 64 == 0 && strike_indices.size() <= lanes);
+  const std::size_t words = lanes / 64;
+  const std::size_t bits = cycles * netlist.primary_inputs().size();
+  const std::size_t row_words = (bits + 63) / 64;
+  stimulus.assign(bits * words, 0);
+  // Row i of `rows` is lane w*64+i's stimulus, bit k = cycle * PIs + pi
+  // in strike_inputs' draw order; next_bool() is exactly a clear top bit.
+  std::vector<std::uint64_t> rows(64 * row_words);
+  std::uint64_t block[64];
+  for (std::size_t w = 0; w < words && w * 64 < strike_indices.size(); ++w) {
+    const std::size_t group =
+        std::min<std::size_t>(64, strike_indices.size() - w * 64);
+    for (std::size_t i = 0; i < group; ++i) {
+      Rng rng = Rng::stream(seed, strike_indices[w * 64 + i]);
+      for (std::size_t j = 0; j < row_words; ++j) {
+        const std::size_t hi = std::min<std::size_t>(64, bits - j * 64);
+        std::uint64_t word = 0;
+        for (std::size_t b = 0; b < hi; ++b) {
+          word |= ((rng.next_u64() >> 63) ^ 1u) << b;
+        }
+        rows[i * row_words + j] = word;
+      }
+    }
+    // One 64×64 transpose per 64 stimulus bits turns lane rows into
+    // per-bit lane words.
+    for (std::size_t j = 0; j < row_words; ++j) {
+      for (std::size_t i = 0; i < 64; ++i) {
+        block[i] = i < group ? rows[i * row_words + j] : 0;
+      }
+      transpose_bits64(block);
+      const std::size_t hi = std::min<std::size_t>(64, bits - j * 64);
+      for (std::size_t b = 0; b < hi; ++b) {
+        stimulus[(j * 64 + b) * words + w] = block[b];
+      }
+    }
+  }
 }
 
 CampaignResult CampaignEngine::run(const set::StrikePlan& plan,
@@ -512,7 +567,8 @@ void CampaignEngine::run_lane_strikes(const set::StrikePlan& plan,
                                 options.lane_width);
     // Scalar fallback simulator, built only if a batch throws.
     std::unique_ptr<core::ProtectionSim> scalar;
-    std::vector<std::vector<std::vector<bool>>> stimuli;
+    std::vector<std::size_t> indices;
+    std::vector<std::uint64_t> stimulus;
     std::vector<sim::LaneScenario> batch;
     std::vector<sim::LaneOutcome> out;
     for (;;) {
@@ -525,26 +581,22 @@ void CampaignEngine::run_lane_strikes(const set::StrikePlan& plan,
       const std::size_t begin = b * lane_count;
       const std::size_t end =
           std::min(begin + lane_count, functional.size());
-      stimuli.clear();
-      // Reserve before filling: LaneScenario::inputs points at
-      // stimuli elements, so the vector must never reallocate.
-      stimuli.reserve(end - begin);
+      indices.clear();
       batch.clear();
-      batch.reserve(end - begin);
       for (std::size_t k = begin; k < end; ++k) {
         const set::PlannedStrike& planned = plan.strikes[functional[k]];
-        stimuli.push_back(strike_inputs(*netlist_, options.cycles_per_run,
-                                        options.seed, planned.index));
+        indices.push_back(planned.index);
         sim::LaneScenario sc;
         sc.strike = planned.strike;
         sc.node2 = planned.node2;
         sc.cycle = planned.cycle;
         sc.squash_at_strike = sch.squash_at_strike(*netlist_, params_, planned);
-        sc.inputs = &stimuli.back();
         batch.push_back(sc);
       }
       try {
-        lane_sim.run_batch(batch, out);
+        strike_inputs_packed(*netlist_, options.cycles_per_run, options.seed,
+                             indices, lane_count, stimulus);
+        lane_sim.run_packed(batch, options.cycles_per_run, stimulus, out);
         for (std::size_t k = begin; k < end; ++k) {
           const set::PlannedStrike& planned = plan.strikes[functional[k]];
           StrikeResult r = sch.resolve_functional(
@@ -578,8 +630,9 @@ void CampaignEngine::run_lane_strikes(const set::StrikePlan& plan,
           }
           try {
             const core::ScheduledStrike scheduled = to_scheduled(planned);
-            const auto protected_r =
-                scalar->run(stimuli[k - begin], {scheduled});
+            const auto inputs = strike_inputs(
+                *netlist_, options.cycles_per_run, options.seed, planned.index);
+            const auto protected_r = scalar->run(inputs, {scheduled});
             r.bubbles = protected_r.bubbles;
             r.detected_errors = protected_r.detected_errors;
             r.spurious_recomputes = protected_r.spurious_recomputes;
@@ -590,7 +643,7 @@ void CampaignEngine::run_lane_strikes(const set::StrikePlan& plan,
               r.diagnostic = escape_diagnostic(protected_r);
             }
             const auto unprotected_r =
-                scalar->run_unprotected(stimuli[k - begin], {scheduled});
+                scalar->run_unprotected(inputs, {scheduled});
             r.unprotected_failed = unprotected_r.corrupted_cycles > 0;
           } catch (const std::exception& e) {
             r = StrikeResult{};

@@ -162,6 +162,16 @@ class CampaignEngine {
       const Netlist& netlist, std::size_t cycles, std::uint64_t seed,
       std::size_t strike_index);
 
+  /// The stimuli of one lane batch, written straight into
+  /// sim::StrikeLaneSim::run_packed's layout for a `lanes`-wide plane:
+  /// lane l carries strike_inputs(netlist, cycles, seed,
+  /// strike_indices[l]) bit for bit, and lanes past the list are zero.
+  /// `stimulus` is resized to cycles × PIs × lanes / 64 words.
+  static void strike_inputs_packed(
+      const Netlist& netlist, std::size_t cycles, std::uint64_t seed,
+      const std::vector<std::size_t>& strike_indices, std::size_t lanes,
+      std::vector<std::uint64_t>& stimulus);
+
  private:
   /// The strike-lane fast path of run(): resolves every undone strike of
   /// `plan` (respecting stop_after/cancel) into result.strikes, batching

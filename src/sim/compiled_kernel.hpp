@@ -78,6 +78,10 @@ class CompiledEventSim {
   /// cycle, so this skips the golden cache and goes straight to the
   /// cone-restricted event propagation + endpoint sampling. Bit-identical
   /// to simulate_cycle() on the stimulus that produced `golden`.
+  /// `golden.net_values` must span every net, but the only entries read
+  /// are the struck net's and the inputs of the gates in
+  /// FlatNetlistView::cone_of(strike.node); ff_d and po are read whole.
+  /// Callers may leave every other entry stale.
   [[nodiscard]] CycleResult resolve_strike(const GoldenCycle& golden,
                                            Picoseconds capture_time,
                                            const set::Strike& strike) const;

@@ -155,6 +155,10 @@ void WideLogicSim::set_ff_word(std::size_t ff, std::size_t w,
   ff_words_[ff * words_ + w] = bits;
 }
 
+void WideLogicSim::set_input_words(const std::uint64_t* words) {
+  std::copy(words, words + pi_words_.size(), pi_words_.begin());
+}
+
 void WideLogicSim::fill_ff(std::size_t ff, bool value) {
   CWSP_REQUIRE(ff < view_->num_flip_flops());
   const std::uint64_t fill = value ? ~0ull : 0ull;
@@ -214,10 +218,73 @@ StrikeLaneSim::StrikeLaneSim(
       faulty_(context_->view, lane_width),
       event_(context_->view->netlist(), context_) {
   CWSP_REQUIRE(context_ != nullptr);
+  const FlatNetlistView& view = *context_->view;
+  lane_golden_.net_values.assign(view.num_nets(), 0);
+  lane_golden_.ff_d.assign(view.num_flip_flops(), false);
+  lane_golden_.po.assign(view.po_nets().size(), false);
+}
+
+void StrikeLaneSim::gather_cone(std::size_t lane, NetId node) {
+  const FlatNetlistView& view = *context_->view;
+  const std::vector<std::uint32_t>& cone = view.cone_of(node);
+  const std::size_t wl = lane / 64;
+  const unsigned shift = lane % 64;
+  auto copy_bit = [&](std::uint32_t n) {
+    lane_golden_.net_values[n] =
+        static_cast<unsigned char>((golden_.net_words(n)[wl] >> shift) & 1u);
+  };
+  copy_bit(static_cast<std::uint32_t>(node.index()));
+  for (std::uint32_t g : cone) {
+    const std::uint32_t* in = view.gate_inputs_begin(g);
+    for (std::uint32_t i = 0; i < view.gate_num_inputs(g); ++i) {
+      copy_bit(in[i]);
+    }
+  }
 }
 
 void StrikeLaneSim::run_batch(const std::vector<LaneScenario>& batch,
                               std::vector<LaneOutcome>& out) {
+  const std::size_t npi = context_->view->num_primary_inputs();
+  const std::size_t words = golden_.words_per_net();
+  const std::size_t B = batch.size();
+  std::size_t T = 0;
+  for (std::size_t l = 0; l < B; ++l) {
+    const std::vector<std::vector<bool>>* inputs = batch[l].inputs;
+    CWSP_REQUIRE_MSG(inputs != nullptr,
+                     "lane scenario " << l << " has no stimulus");
+    if (l == 0) T = inputs->size();
+    CWSP_REQUIRE_MSG(inputs->size() == T,
+                     "every scenario of a lane batch needs the same run "
+                     "length");
+    for (const std::vector<bool>& row : *inputs) {
+      CWSP_REQUIRE_MSG(row.size() == npi,
+                       "lane scenario " << l << " has a stimulus row of "
+                                        << row.size() << " bits for " << npi
+                                        << " primary inputs");
+    }
+  }
+
+  stimulus_.resize(T * npi * words);
+  std::uint64_t* word = stimulus_.data();
+  for (std::size_t t = 0; t < T; ++t) {
+    for (std::size_t p = 0; p < npi; ++p) {
+      for (std::size_t w = 0; w < words; ++w) {
+        std::uint64_t bits = 0;
+        const std::size_t hi = std::min<std::size_t>(B, (w + 1) * 64);
+        for (std::size_t l = w * 64; l < hi; ++l) {
+          if ((*batch[l].inputs)[t][p]) bits |= 1ull << (l % 64);
+        }
+        *word++ = bits;
+      }
+    }
+  }
+  run_packed(batch, T, stimulus_, out);
+}
+
+void StrikeLaneSim::run_packed(const std::vector<LaneScenario>& batch,
+                               std::size_t cycles,
+                               const std::vector<std::uint64_t>& stimulus,
+                               std::vector<LaneOutcome>& out) {
   // Chaos: an injected batch failure must degrade the campaign's lane
   // path to its scalar fallback without changing the report.
   CWSP_FAILPOINT("sim.lane.run_batch");
@@ -227,17 +294,13 @@ void StrikeLaneSim::run_batch(const std::vector<LaneScenario>& batch,
   if (B == 0) return;
   CWSP_REQUIRE_MSG(B <= lanes(), "batch of " << B << " scenarios exceeds "
                                              << lanes() << " lanes");
-  const std::size_t T = batch[0].inputs->size();
-  for (const LaneScenario& s : batch) {
-    CWSP_REQUIRE_MSG(s.inputs != nullptr && s.inputs->size() == T,
-                     "every scenario of a lane batch needs the same run "
-                     "length");
-  }
-
-  const std::size_t npi = view.num_primary_inputs();
   const std::size_t nff = view.num_flip_flops();
-  const std::size_t nets = view.num_nets();
   const std::size_t words = golden_.words_per_net();
+  const std::size_t cycle_words = view.num_primary_inputs() * words;
+  CWSP_REQUIRE_MSG(stimulus.size() == cycles * cycle_words,
+                   "packed stimulus of " << stimulus.size() << " words for "
+                                         << cycles << " cycles of "
+                                         << cycle_words << " words");
 
   ++batches_;
   lanes_filled_ += B;
@@ -256,45 +319,32 @@ void StrikeLaneSim::run_batch(const std::vector<LaneScenario>& batch,
   std::vector<PendingDivergence> pending;
   std::vector<std::size_t> diverged_lanes;
 
-  for (std::size_t t = 0; t < T; ++t) {
-    // Pack this cycle's stimulus, lane-major within each 64-lane word.
-    for (std::size_t p = 0; p < npi; ++p) {
-      for (std::size_t w = 0; w < words; ++w) {
-        std::uint64_t bits = 0;
-        const std::size_t hi = std::min<std::size_t>(B, (w + 1) * 64);
-        for (std::size_t l = w * 64; l < hi; ++l) {
-          if ((*batch[l].inputs)[t][p]) bits |= 1ull << (l % 64);
-        }
-        golden_.set_input_word(p, w, bits);
-        if (divergent) faulty_.set_input_word(p, w, bits);
-      }
-    }
+  for (std::size_t t = 0; t < cycles; ++t) {
+    const std::uint64_t* cycle_stimulus = stimulus.data() + t * cycle_words;
+    golden_.set_input_words(cycle_stimulus);
+    if (divergent) faulty_.set_input_words(cycle_stimulus);
     golden_.evaluate();
 
-    // Timed resolution for lanes striking this cycle: extract the
-    // lane's settled golden values and hand them to the event-driven
-    // resolver — latching-window and aperture questions are decided in
+    // Timed resolution for lanes striking this cycle: gather the lane's
+    // settled golden bits that the event-driven resolver reads and hand
+    // them over — latching-window and aperture questions are decided in
     // continuous time exactly as the scalar kernel decides them.
     for (std::size_t l = 0; l < B; ++l) {
       if (batch[l].cycle != t) continue;
       out[l].fired = true;
       ++timed_resolutions_;
 
-      lane_golden_.net_values.assign(nets, 0);
+      gather_cone(l, batch[l].strike.node);
+      if (batch[l].node2.valid()) gather_cone(l, batch[l].node2);
       const std::size_t wl = l / 64;
-      const std::uint64_t bit = 1ull << (l % 64);
-      for (std::size_t n = 0; n < nets; ++n) {
-        lane_golden_.net_values[n] =
-            (golden_.net_words(n)[wl] & bit) != 0 ? 1 : 0;
-      }
-      lane_golden_.ff_d.clear();
+      const unsigned shift = l % 64;
       for (std::size_t f = 0; f < nff; ++f) {
-        lane_golden_.ff_d.push_back(
-            lane_golden_.net_values[view.ff_d_net(f)] != 0);
+        lane_golden_.ff_d[f] =
+            ((golden_.net_words(view.ff_d_net(f))[wl] >> shift) & 1u) != 0;
       }
-      lane_golden_.po.clear();
-      for (std::uint32_t po : view.po_nets()) {
-        lane_golden_.po.push_back(lane_golden_.net_values[po] != 0);
+      for (std::size_t p = 0; p < view.po_nets().size(); ++p) {
+        lane_golden_.po[p] =
+            ((golden_.net_words(view.po_nets()[p])[wl] >> shift) & 1u) != 0;
       }
 
       const CycleResult cr =

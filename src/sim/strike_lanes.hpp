@@ -19,18 +19,21 @@
 //   * StrikeLaneSim — the campaign batch engine built on two
 //     WideLogicSim planes. Lane l of a batch carries one functional
 //     strike scenario: the golden plane advances the clean trajectory
-//     of every lane's stimulus; on each lane's strike cycle the settled
-//     golden values of that lane are extracted and handed to the timed
-//     CompiledEventSim for exact glitch-window resolution (latching /
-//     aperture masking are analog-time questions the boolean planes
-//     cannot answer); lanes whose capture escapes the CWSP envelope
-//     seed the faulty plane, whose lane-diff against the golden plane
-//     then counts silently-corrupted commits cycle by cycle. Everything
-//     else about the §3.2 protocol (bubbles, detected errors, spurious
-//     recomputes) is a deterministic function of these per-lane facts
-//     and is reconstructed analytically by the campaign layer — which
-//     is what keeps lane-kernel reports byte-identical to the scalar
-//     ProtectionSim at any lane width and any job count.
+//     of every lane's stimulus, which arrives already packed as lane
+//     words (run_packed; run_batch packs per-lane vectors first); on
+//     each lane's strike cycle only the settled golden bits the timed
+//     resolver reads — the struck net, the inputs of its fanout cone's
+//     gates, the FF-D and PO samples — are gathered from that lane and
+//     handed to the timed CompiledEventSim for exact glitch-window
+//     resolution (latching / aperture masking are analog-time questions
+//     the boolean planes cannot answer); lanes whose capture escapes the
+//     CWSP envelope seed the faulty plane, whose lane-diff against the
+//     golden plane then counts silently-corrupted commits cycle by
+//     cycle. Everything else about the §3.2 protocol (bubbles, detected
+//     errors, spurious recomputes) is a deterministic function of these
+//     per-lane facts and is reconstructed analytically by the campaign
+//     layer — which is what keeps lane-kernel reports byte-identical to
+//     the scalar ProtectionSim at any lane width and any job count.
 //
 // A WideLogicSim / StrikeLaneSim instance is NOT thread-safe; create one
 // per worker and share the immutable context.
@@ -90,6 +93,9 @@ class WideLogicSim {
   /// Word `w` (64 lanes) of one primary input / flip-flop.
   void set_input_word(std::size_t pi, std::size_t w, std::uint64_t bits);
   void set_ff_word(std::size_t ff, std::size_t w, std::uint64_t bits);
+  /// Every primary input's lane words at once: word w of input p is
+  /// words[p * words_per_net() + w].
+  void set_input_words(const std::uint64_t* words);
   /// Same value in every lane.
   void fill_ff(std::size_t ff, bool value);
 
@@ -141,16 +147,17 @@ struct LaneScenario {
   /// Second simultaneous strike node (charge-sharing double-SET fault
   /// models); shares `strike`'s start/width. Invalid = single-node.
   NetId node2;
-  /// Cycle (within `inputs`) the strike fires on; >= inputs->size()
-  /// means the strike never fires.
+  /// Cycle the strike fires on; at or past the run length it never
+  /// fires.
   std::size_t cycle = 0;
   /// The equivalence check of the strike cycle reads EQ low spuriously
   /// (a FF Q-net glitch spanning the CLK_DEL sample — computed
   /// statically by the caller), so the protocol squashes the cycle and
   /// discards its capture.
   bool squash_at_strike = false;
-  /// Per-cycle primary-input stimulus; every scenario of a batch must
-  /// have the same length. Must outlive run_batch.
+  /// Per-cycle primary-input stimulus, one bit per primary input; every
+  /// scenario of a batch must have the same length. Must outlive
+  /// run_batch. run_packed ignores it.
   const std::vector<std::vector<bool>>* inputs = nullptr;
 };
 
@@ -185,9 +192,22 @@ class StrikeLaneSim {
 
   /// Resolves batch.size() <= lanes() scenarios. `out` is resized to the
   /// batch size. Outcomes are independent of batch composition and lane
-  /// width: each lane computes exactly what a scalar run would.
+  /// width: each lane computes exactly what a scalar run would. Packs
+  /// every scenario's `inputs` and runs run_packed; throws cwsp::Error
+  /// for a missing stimulus, unequal run lengths or a row whose width is
+  /// not the primary-input count.
   void run_batch(const std::vector<LaneScenario>& batch,
                  std::vector<LaneOutcome>& out);
+
+  /// run_batch on stimulus already packed in the lane-plane layout: lane
+  /// l's bit for primary input p on cycle t is bit l % 64 of
+  /// stimulus[(t * PIs + p) * (lanes() / 64) + l / 64], so each cycle is
+  /// one contiguous WideLogicSim input block. `stimulus` holds exactly
+  /// `cycles` such blocks; the scenarios' `inputs` are not read. The
+  /// campaign engine's entry.
+  void run_packed(const std::vector<LaneScenario>& batch, std::size_t cycles,
+                  const std::vector<std::uint64_t>& stimulus,
+                  std::vector<LaneOutcome>& out);
 
   /// Occupancy telemetry (for the campaign's metrics and benchmarks).
   [[nodiscard]] std::uint64_t batches_run() const { return batches_; }
@@ -198,6 +218,10 @@ class StrikeLaneSim {
   }
 
  private:
+  /// Copies lane `lane`'s settled golden bits of the nets resolve_strike
+  /// reads for a strike on `node` into lane_golden_.net_values.
+  void gather_cone(std::size_t lane, NetId node);
+
   std::shared_ptr<const CompiledKernelContext> context_;
   Picoseconds clock_period_;
   Picoseconds delta_;
@@ -206,8 +230,11 @@ class StrikeLaneSim {
   /// Timed strike-cycle resolver (golden cache unused on this path: the
   /// golden plane already settled the cycle; see resolve_strike).
   CompiledEventSim event_;
-  /// Scratch for per-lane golden extraction.
+  /// Scratch for per-lane golden extraction. net_values is sized once;
+  /// entries outside the current strike's read set hold stale bits.
   GoldenCycle lane_golden_;
+  /// run_batch's packed copy of the scenarios' stimulus.
+  std::vector<std::uint64_t> stimulus_;
 
   std::uint64_t batches_ = 0;
   std::uint64_t lanes_filled_ = 0;

@@ -3,10 +3,12 @@
 // reproduce EventSim bit-for-bit (waveforms, latched values, aperture
 // flags — strike and no-strike), LogicSim64 must agree with LogicSim in
 // every lane, and ProtectionSim must produce identical protocol runs on
-// either kernel. Plus unit tests of the golden-waveform cache.
+// either kernel. Plus unit tests of the golden-waveform cache and of
+// resolve_strike's read set on a generated C880.
 
 #include <gtest/gtest.h>
 
+#include "bencharness/generator.hpp"
 #include "cwsp/protection_sim.hpp"
 #include "netlist_fuzz.hpp"
 #include "set/strike_plan.hpp"
@@ -273,6 +275,67 @@ TEST(CompiledKernelTest, SharedContextAcrossInstances) {
   expect_cycles_equal(a.simulate_cycle(pis, ffs, Picoseconds(1400.0), strike),
                       b.simulate_cycle(pis, ffs, Picoseconds(1400.0), strike),
                       "shared context");
+}
+
+TEST(CompiledKernelTest, ResolveStrikeReadsOnlyTheStruckConesInputs) {
+  // The strike-lane kernel hands resolve_strike a GoldenCycle whose
+  // net_values are current only on the struck net and its cone's gate
+  // inputs (both nodes' for a double strike). Inverting every other
+  // entry must leave the result unchanged.
+  const CellLibrary lib = make_default_library();
+  const auto generated =
+      bench::generate_benchmark(bench::find_benchmark("C880"), lib);
+  const Netlist netlist =
+      bench::clone_with_output_flip_flops(generated.netlist);
+  const auto context = sim::CompiledKernelContext::build(netlist);
+  const FlatNetlistView& view = *context->view;
+  const sim::CompiledEventSim sim(netlist, context);
+  const Picoseconds capture = generated.measured_dmax;
+  Rng rng(880);
+
+  std::size_t reached = 0;
+  for (std::size_t n = 0; n < view.num_nets(); n += 9) {
+    const auto pis = random_bits(netlist.primary_inputs().size(), rng);
+    const auto ffs = random_bits(netlist.num_flip_flops(), rng);
+    const sim::GoldenCycle full = sim.golden_eval(pis, ffs);
+    set::Strike first;
+    first.node = NetId{n};
+    first.start = Picoseconds(rng.next_double_in(0.0, capture.value()));
+    first.width = Picoseconds(rng.next_double_in(50.0, 700.0));
+    set::Strike second = first;
+    second.node = NetId{rng.next_below(view.num_nets())};
+    const bool double_strike = n % 2 == 0;
+
+    std::vector<set::Strike> struck{first};
+    if (double_strike) struck.push_back(second);
+    std::vector<char> read(view.num_nets(), 0);
+    for (const set::Strike& s : struck) {
+      read[s.node.index()] = 1;
+      for (std::uint32_t g : view.cone_of(s.node)) {
+        const std::uint32_t* in = view.gate_inputs_begin(g);
+        for (std::uint32_t i = 0; i < view.gate_num_inputs(g); ++i) {
+          read[in[i]] = 1;
+        }
+      }
+    }
+    sim::GoldenCycle stale = full;
+    for (std::size_t m = 0; m < view.num_nets(); ++m) {
+      if (read[m] == 0) stale.net_values[m] ^= 1;
+    }
+
+    const std::string context_label = "struck net " + std::to_string(n);
+    const auto reference = sim.resolve_strike(full, capture, first);
+    expect_cycles_equal(reference, sim.resolve_strike(stale, capture, first),
+                        context_label);
+    if (reference.glitch_reached_endpoint) ++reached;
+    if (double_strike) {
+      expect_cycles_equal(sim.resolve_strike(full, capture, second),
+                          sim.resolve_strike(stale, capture, second),
+                          context_label + " second node " +
+                              std::to_string(second.node.index()));
+    }
+  }
+  EXPECT_GT(reached, 0u) << "no sampled strike reached an endpoint";
 }
 
 }  // namespace

@@ -247,8 +247,10 @@ TEST_F(ServiceTest, BatchMemberCancelDoesNotAffectOtherConnections) {
   // connections — they coalesce into one batch when the worker frees up.
   a.send_line(R"({"id":"s","op":"sleep","ms":150})");
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // Long enough to still be running when the cancel below lands 100 ms
+  // after pickup (~0.3 s on the strike-lane kernel).
   const std::string campaign =
-      R"({"op":"campaign","runs":100000,)" + json_design_field() + "}";
+      R"({"op":"campaign","runs":400000,)" + json_design_field() + "}";
   a.send_line(R"({"id":"a1",)" + campaign.substr(1));
   b.send_line(R"({"id":"b1",)" + campaign.substr(1));
 

@@ -12,20 +12,30 @@
 //     worker pool: identical plans produce byte-identical JSON reports
 //     at every lane width and jobs value, including edge batches
 //     (smaller than the lane count, strikes on PI/FF-Q/PO nets,
-//     zero-width pulses, strike cycles beyond the run);
+//     zero-width pulses, strike cycles beyond the run), on s27 and on a
+//     generated C880;
 //   * certify at every lane width against its 64-wide reports.
+//
+// Plus the batch entries themselves: run_batch rejects malformed
+// scenarios, the engine's packed stimulus equals strike_inputs bit for
+// bit, and both entries' per-lane outcomes equal a scalar recomputation
+// on full golden cycles.
 
 #include "sim/strike_lanes.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "analysis/certify.hpp"
+#include "bencharness/generator.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/report.hpp"
 #include "common/metrics.hpp"
+#include "common/rng.hpp"
+#include "cwsp/timing.hpp"
 #include "iscas_data.hpp"
 #include "netlist/bench_parser.hpp"
 #include "netlist_fuzz.hpp"
@@ -181,7 +191,149 @@ TEST(WideLogicSimIscas, EveryWidthTracksScalarOnEmbeddedCircuits) {
   }
 }
 
+// ------------------------------------------------ run_batch validation
+
+class LaneBatchValidation : public ::testing::Test {
+ protected:
+  CellLibrary lib_ = make_default_library();
+  Netlist netlist_ = parse_bench_string(testdata::kS27, lib_);
+  sim::StrikeLaneSim lanes_{sim::CompiledKernelContext::build(netlist_),
+                            Picoseconds(2000.0),
+                            core::ProtectionParams::q100().delta, 64};
+  std::vector<std::vector<bool>> inputs_ = std::vector<std::vector<bool>>(
+      4, std::vector<bool>(netlist_.primary_inputs().size(), true));
+  std::vector<sim::LaneOutcome> out_;
+
+  [[nodiscard]] sim::LaneScenario scenario(
+      const std::vector<std::vector<bool>>* inputs) const {
+    sim::LaneScenario s;
+    s.strike.node = netlist_.gate(GateId{0}).output;
+    s.strike.start = Picoseconds(300.0);
+    s.strike.width = Picoseconds(250.0);
+    s.cycle = 1;
+    s.inputs = inputs;
+    return s;
+  }
+};
+
+TEST_F(LaneBatchValidation, WellFormedBatchRuns) {
+  lanes_.run_batch({scenario(&inputs_), scenario(&inputs_)}, out_);
+  ASSERT_EQ(out_.size(), 2u);
+  EXPECT_TRUE(out_[0].fired);
+}
+
+TEST_F(LaneBatchValidation, NullStimulusIsAnError) {
+  EXPECT_THROW(lanes_.run_batch({scenario(nullptr), scenario(&inputs_)}, out_),
+               Error);
+  EXPECT_THROW(lanes_.run_batch({scenario(&inputs_), scenario(nullptr)}, out_),
+               Error);
+}
+
+TEST_F(LaneBatchValidation, ShortRunIsAnError) {
+  auto short_run = inputs_;
+  short_run.pop_back();
+  EXPECT_THROW(
+      lanes_.run_batch({scenario(&inputs_), scenario(&short_run)}, out_),
+      Error);
+}
+
+TEST_F(LaneBatchValidation, ShortRowIsAnError) {
+  auto short_row = inputs_;
+  short_row[2].pop_back();
+  EXPECT_THROW(
+      lanes_.run_batch({scenario(&inputs_), scenario(&short_row)}, out_),
+      Error);
+  EXPECT_THROW(lanes_.run_batch({scenario(&short_row)}, out_), Error);
+}
+
+// ------------------------------------------------- packed stimulus
+
+Netlist with_primary_inputs(const CellLibrary& lib, std::size_t count) {
+  // strike_inputs reads nothing of the netlist but its PI count.
+  Netlist netlist(lib, "inputs");
+  for (std::size_t i = 0; i < count; ++i) {
+    netlist.add_primary_input("i" + std::to_string(i));
+  }
+  return netlist;
+}
+
+TEST(PackedStimulus, EveryLaneMatchesStrikeInputsBitForBit) {
+  const CellLibrary lib = make_default_library();
+  struct Shape {
+    std::size_t pis;
+    std::size_t cycles;
+  };
+  // 207 × 16 = 3312 bits (C7552's shape: not a multiple of 64), and a
+  // stimulus shorter than one 64-bit block.
+  for (const Shape shape : {Shape{207, 16}, Shape{4, 8}}) {
+    const Netlist netlist = with_primary_inputs(lib, shape.pis);
+    for (std::size_t lanes : sim::WideLogicSim::supported_lane_widths()) {
+      // A full batch and a partial last batch.
+      for (std::size_t filled : {lanes, lanes - 37}) {
+        std::vector<std::size_t> indices;
+        for (std::size_t l = 0; l < filled; ++l) indices.push_back(1000 + 7 * l);
+        std::vector<std::uint64_t> stimulus;
+        campaign::CampaignEngine::strike_inputs_packed(
+            netlist, shape.cycles, 2026, indices, lanes, stimulus);
+        const std::size_t words = lanes / 64;
+        ASSERT_EQ(stimulus.size(), shape.cycles * shape.pis * words);
+        const std::string label = std::to_string(shape.pis) + " PIs x " +
+                                  std::to_string(shape.cycles) +
+                                  " cycles, lanes " + std::to_string(lanes) +
+                                  " filled " + std::to_string(filled);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          const auto reference =
+              l < filled ? campaign::CampaignEngine::strike_inputs(
+                               netlist, shape.cycles, 2026, indices[l])
+                         : std::vector<std::vector<bool>>(
+                               shape.cycles, std::vector<bool>(shape.pis));
+          for (std::size_t t = 0; t < shape.cycles; ++t) {
+            for (std::size_t p = 0; p < shape.pis; ++p) {
+              const std::uint64_t word =
+                  stimulus[(t * shape.pis + p) * words + l / 64];
+              ASSERT_EQ(((word >> (l % 64)) & 1u) != 0, reference[t][p])
+                  << label << ": lane " << l << " cycle " << t << " pi " << p;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // -------------------------------------------------- campaign lane path
+
+std::string report_for(const Netlist& netlist,
+                       const core::ProtectionParams& params, Picoseconds period,
+                       const set::StrikePlan& plan,
+                       const campaign::EngineOptions& opts) {
+  const campaign::CampaignEngine engine(netlist, params, period);
+  const auto result = engine.run(plan, opts);
+  return campaign::format_campaign_json(result, plan, netlist, opts, period);
+}
+
+/// The scalar ProtectionSim pool's report is the oracle; the lane path
+/// must reproduce it at every width and jobs value.
+void expect_width_and_jobs_invariant(const Netlist& netlist,
+                                     const core::ProtectionParams& params,
+                                     Picoseconds period,
+                                     const set::StrikePlan& plan,
+                                     campaign::EngineOptions base,
+                                     const std::string& label) {
+  base.use_lane_kernel = false;
+  base.jobs = 1;
+  const std::string scalar = report_for(netlist, params, period, plan, base);
+  for (std::size_t width : sim::WideLogicSim::supported_lane_widths()) {
+    for (std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
+      campaign::EngineOptions lane = base;
+      lane.use_lane_kernel = true;
+      lane.lane_width = width;
+      lane.jobs = jobs;
+      EXPECT_EQ(scalar, report_for(netlist, params, period, plan, lane))
+          << label << ": lane width " << width << " jobs " << jobs;
+    }
+  }
+}
 
 class LaneCampaignTest : public ::testing::Test {
  protected:
@@ -194,29 +346,11 @@ class LaneCampaignTest : public ::testing::Test {
     return campaign::CampaignEngine(netlist_, params_, period_);
   }
 
-  [[nodiscard]] std::string report_for(
-      const set::StrikePlan& plan, const campaign::EngineOptions& opts) const {
-    const auto result = engine().run(plan, opts);
-    return campaign::format_campaign_json(result, plan, netlist_, opts,
-                                          period_);
-  }
-
   void expect_width_and_jobs_invariant(const set::StrikePlan& plan,
-                                       campaign::EngineOptions base,
+                                       const campaign::EngineOptions& base,
                                        const std::string& label) const {
-    base.use_lane_kernel = false;
-    base.jobs = 1;
-    const std::string scalar = report_for(plan, base);
-    for (std::size_t width : sim::WideLogicSim::supported_lane_widths()) {
-      for (std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
-        campaign::EngineOptions lane = base;
-        lane.use_lane_kernel = true;
-        lane.lane_width = width;
-        lane.jobs = jobs;
-        EXPECT_EQ(scalar, report_for(plan, lane))
-            << label << ": lane width " << width << " jobs " << jobs;
-      }
-    }
+    cwsp::expect_width_and_jobs_invariant(netlist_, params_, period_, plan,
+                                          base, label);
   }
 };
 
@@ -334,6 +468,163 @@ TEST_F(LaneCampaignTest, LaneTelemetryCountsBatchesAndSlots) {
             batches_before + 1);
   EXPECT_EQ(registry.counter("campaign.lane_slots_filled").value(),
             filled_before + static_cast<std::int64_t>(plan.size()));
+}
+
+// A paper-scale design: C880's 60 PIs × 10 cycles span ten 64-bit
+// stimulus blocks, and its cones cover a small fraction of the nets — the
+// regime where a packing or cone-gather slip shows, unlike on s27.
+class LaneCampaignC880Test : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    library_ = new CellLibrary(make_default_library());
+    const auto generated = bench::generate_benchmark(
+        bench::find_benchmark("C880"), *library_);
+    netlist_ = new Netlist(bench::clone_with_output_flip_flops(generated.netlist));
+    period_ = std::max(
+        core::hardened_clock_period(generated.measured_dmax, *library_),
+        core::min_clock_period_for_delta(params_));
+  }
+  static void TearDownTestSuite() {
+    delete netlist_;
+    delete library_;
+  }
+
+  static inline CellLibrary* library_ = nullptr;
+  static inline Netlist* netlist_ = nullptr;
+  static inline const core::ProtectionParams params_ =
+      core::ProtectionParams::q100();
+  static inline Picoseconds period_{0.0};
+};
+
+TEST_F(LaneCampaignC880Test, AdversarialPlanReportsAreByteIdentical) {
+  set::StrikePlanOptions po;
+  po.functional_strikes = 240;
+  po.protection_path_strikes = 20;
+  po.clock_edge_strikes = 20;
+  po.out_of_envelope_strikes = 40;
+  po.cycles_per_run = 10;
+  po.clock_period = period_;
+  po.out_of_envelope_width = params_.delta + Picoseconds(400.0);
+  const auto plan = set::build_strike_plan(*netlist_, po, 11);
+
+  campaign::EngineOptions opts;
+  opts.seed = 31;
+  opts.cycles_per_run = 10;
+  expect_width_and_jobs_invariant(*netlist_, params_, period_, plan, opts,
+                                  "c880 adversarial");
+}
+
+/// What one lane must resolve to, recomputed on the scalar compiled
+/// kernel from full golden cycles: golden steps up to the strike cycle,
+/// each node's timed resolution superposed, then the faulty trajectory's
+/// PO mismatches when the capture survives the envelope.
+sim::LaneOutcome scalar_outcome(const sim::CompiledEventSim& event,
+                                const sim::LaneScenario& s, Picoseconds period,
+                                Picoseconds delta) {
+  const std::vector<std::vector<bool>>& inputs = *s.inputs;
+  sim::LaneOutcome o;
+  if (s.cycle >= inputs.size()) return o;
+  std::vector<bool> state(event.netlist().num_flip_flops(), false);
+  for (std::size_t t = 0; t < s.cycle; ++t) {
+    state = event.golden_eval(inputs[t], state).ff_d;
+  }
+  o.fired = true;
+  std::vector<set::Strike> strikes{s.strike};
+  if (s.node2.valid()) {
+    strikes.push_back(set::Strike{s.node2, s.strike.start, s.strike.width});
+  }
+  std::vector<bool> golden;
+  std::vector<bool> flips(state.size(), false);
+  for (const set::Strike& strike : strikes) {
+    const sim::CycleResult r =
+        event.simulate_cycle(inputs[s.cycle], state, period, strike);
+    golden = r.golden_d;
+    for (std::size_t f = 0; f < flips.size(); ++f) {
+      if (r.latched_d[f] != r.golden_d[f]) flips[f] = !flips[f];
+      if (r.aperture_violation[f]) o.aperture = true;
+    }
+  }
+  o.latched_diff = std::find(flips.begin(), flips.end(), true) != flips.end();
+  if (!o.latched_diff || s.squash_at_strike || s.strike.width <= delta) {
+    return o;
+  }
+  std::vector<bool> faulty = golden;
+  for (std::size_t f = 0; f < flips.size(); ++f) faulty[f] = golden[f] != flips[f];
+  for (std::size_t t = s.cycle + 1; t < inputs.size(); ++t) {
+    const sim::GoldenCycle clean = event.golden_eval(inputs[t], golden);
+    const sim::GoldenCycle& struck = event.golden_eval(inputs[t], faulty);
+    if (clean.po != struck.po) ++o.silent_corruptions;
+    golden = clean.ff_d;
+    faulty = struck.ff_d;
+  }
+  return o;
+}
+
+/// Both entries — run_batch packing per-lane vectors, run_packed fed by
+/// the engine's packer — against a per-lane scalar recomputation, over
+/// single and double strikes at every width.
+void expect_lane_outcomes_match_scalar(const Netlist& netlist,
+                                       Picoseconds period, Picoseconds delta,
+                                       std::size_t cycles) {
+  const auto context = sim::CompiledKernelContext::build(netlist);
+  const sim::CompiledEventSim event(netlist, context);
+  Rng rng(5);
+  for (std::size_t width : sim::WideLogicSim::supported_lane_widths()) {
+    sim::StrikeLaneSim lanes(context, period, delta, width);
+    const std::size_t filled = width - 5;
+    std::vector<std::vector<std::vector<bool>>> stimuli;
+    std::vector<std::size_t> indices;
+    std::vector<sim::LaneScenario> batch(filled);
+    for (std::size_t l = 0; l < filled; ++l) {
+      indices.push_back(40 + 3 * l);
+      stimuli.push_back(campaign::CampaignEngine::strike_inputs(
+          netlist, cycles, 9, indices.back()));
+      sim::LaneScenario& s = batch[l];
+      s.strike.node = NetId{rng.next_below(netlist.num_nets())};
+      if (l % 4 == 0) s.node2 = NetId{rng.next_below(netlist.num_nets())};
+      s.strike.start = Picoseconds(rng.next_double_in(0.0, period.value()));
+      s.strike.width = Picoseconds(rng.next_double_in(50.0, 900.0));
+      s.cycle = rng.next_below(cycles + 1);
+    }
+    for (std::size_t l = 0; l < filled; ++l) batch[l].inputs = &stimuli[l];
+
+    std::vector<sim::LaneOutcome> adapted;
+    lanes.run_batch(batch, adapted);
+    std::vector<std::uint64_t> stimulus;
+    campaign::CampaignEngine::strike_inputs_packed(netlist, cycles, 9, indices,
+                                                   width, stimulus);
+    std::vector<sim::LaneOutcome> packed;
+    lanes.run_packed(batch, cycles, stimulus, packed);
+
+    ASSERT_EQ(adapted.size(), filled);
+    ASSERT_EQ(packed.size(), filled);
+    std::size_t corrupted = 0;
+    for (std::size_t l = 0; l < filled; ++l) {
+      const sim::LaneOutcome want =
+          scalar_outcome(event, batch[l], period, delta);
+      for (const sim::LaneOutcome* got : {&adapted[l], &packed[l]}) {
+        const std::string at =
+            std::string(got == &adapted[l] ? "run_batch" : "run_packed") +
+            " width " + std::to_string(width) + " lane " + std::to_string(l);
+        EXPECT_EQ(got->fired, want.fired) << at;
+        EXPECT_EQ(got->latched_diff, want.latched_diff) << at;
+        EXPECT_EQ(got->aperture, want.aperture) << at;
+        EXPECT_EQ(got->silent_corruptions, want.silent_corruptions) << at;
+      }
+      if (want.silent_corruptions > 0) ++corrupted;
+    }
+    EXPECT_GT(corrupted, 0u) << "width " << width << ": no lane corrupted";
+  }
+}
+
+TEST_F(LaneCampaignC880Test, LaneOutcomesMatchScalarKernel) {
+  expect_lane_outcomes_match_scalar(*netlist_, period_, params_.delta, 6);
+}
+
+TEST_F(LaneCampaignTest, LaneOutcomesMatchScalarKernel) {
+  // s27's FFs feed back, so every earlier cycle's stimulus reaches the
+  // strike cycle; 4 PIs × 20 cycles span two 64-bit stimulus blocks.
+  expect_lane_outcomes_match_scalar(netlist_, period_, params_.delta, 20);
 }
 
 // ------------------------------------------------ certify lane widths
