@@ -10,7 +10,6 @@
 #include "cwsp/harden.hpp"
 #include "cwsp/protection_sim.hpp"
 #include "sim/compiled_kernel.hpp"
-#include "sim/event_sim.hpp"
 #include "sim/logic_sim.hpp"
 #include "sim/strike_lanes.hpp"
 #include "spice/subckt.hpp"
@@ -39,25 +38,9 @@ void BM_Sta(benchmark::State& state) {
 }
 BENCHMARK(BM_Sta);
 
-void BM_EventSimCycle(benchmark::State& state) {
-  const Netlist& netlist = alu2();
-  const sim::EventSim esim(netlist);
-  std::vector<bool> pis(netlist.primary_inputs().size(), true);
-  set::Strike strike;
-  strike.node = netlist.gate(GateId{0}).output;
-  strike.start = Picoseconds(800.0);
-  strike.width = Picoseconds(400.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        esim.simulate_cycle(pis, {}, Picoseconds(1800.0), strike)
-            .struck_po.size());
-  }
-}
-BENCHMARK(BM_EventSimCycle);
-
 void BM_CompiledEventSimCycle(benchmark::State& state) {
-  // Same strike scenario as BM_EventSimCycle, on the compiled kernel:
-  // cone-restricted propagation + golden-cycle caching.
+  // One struck cycle on the production timed kernel: cone-restricted
+  // propagation + golden-cycle caching.
   const Netlist& netlist = alu2();
   const sim::CompiledEventSim esim(netlist);
   std::vector<bool> pis(netlist.primary_inputs().size(), true);
@@ -127,29 +110,10 @@ void BM_LogicSimCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_LogicSimCycle);
 
-void BM_LogicSim64Cycle(benchmark::State& state) {
-  // One bit-parallel pass settles 64 stimulus patterns; counters report
-  // per-pattern throughput for comparison against BM_LogicSimCycle.
-  const Netlist& netlist = alu2();
-  sim::LogicSim64 sim(netlist);
-  std::uint64_t pattern = 0x5555555555555555ull;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < netlist.primary_inputs().size(); ++i) {
-      sim.set_input_word(i, pattern + i);
-    }
-    sim.evaluate();
-    sim.clock();
-    benchmark::DoNotOptimize(sim.output_word(0));
-    pattern = pattern * 6364136223846793005ull + 1442695040888963407ull;
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_LogicSim64Cycle);
-
 void BM_WideLogicSimCycle(benchmark::State& state) {
-  // One SoA topo sweep settles `width` stimulus patterns; the
-  // strikes_per_second counter reports per-pattern throughput so the
-  // 64/256/512 rows compare directly against BM_LogicSim64Cycle.
+  // One SoA topo sweep settles `width` stimulus patterns; the items/s
+  // counter reports per-pattern throughput so the 64/256/512 rows
+  // compare directly against BM_LogicSimCycle.
   const std::size_t width = static_cast<std::size_t>(state.range(0));
   const Netlist& netlist = alu2();
   static const auto context = sim::CompiledKernelContext::build(netlist);

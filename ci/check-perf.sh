@@ -80,8 +80,9 @@ failures = []
 t = doc["throughput"]
 
 if not doc["identity"]["byte_identical"]:
-    failures.append("report identity broken: lane/scalar/legacy reports "
-                    "diverged (hard invariant, see bench_campaign output)")
+    failures.append("report identity broken: lane/scalar reports diverged "
+                    "across kernels, lane widths or job counts (hard "
+                    "invariant, see bench_campaign Part A)")
 
 floor_pct = base.get("max_regression_pct", 25)
 floor = base["speedup_lane_vs_scalar"] * (1 - floor_pct / 100.0)

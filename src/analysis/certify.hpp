@@ -115,7 +115,7 @@ struct SiteCertificate {
   /// Unknown: the reconvergent gate blocking the proof (kNone when the
   /// cause is an exhausted budget instead).
   std::uint32_t blocking_gate = GlitchWindow::kNone;
-  /// The LogicSim64 bit-parallel sweep ran for this site.
+  /// The WideLogicSim bit-parallel sweep ran for this site.
   bool used_fallback = false;
   /// Deterministic one-line detail for reports.
   std::string note;

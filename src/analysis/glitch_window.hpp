@@ -27,10 +27,9 @@
 //     to simulation (docs/certify.md, "fallback policy").
 //
 // Soundness direction: windows over-approximate. Everything the timed
-// event simulator (sim::EventSim and the compiled kernel) can produce is
-// inside the window; the certifier only derives "proved-covered" from
-// window facts, never "proved-escape" (escapes are always confirmed by
-// replay).
+// event simulator (sim::CompiledEventSim) can produce is inside the
+// window; the certifier only derives "proved-covered" from window facts,
+// never "proved-escape" (escapes are always confirmed by replay).
 
 #include <cstdint>
 #include <limits>

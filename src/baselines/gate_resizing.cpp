@@ -7,7 +7,7 @@
 
 #include "common/rng.hpp"
 #include "cwsp/timing.hpp"
-#include "sim/event_sim.hpp"
+#include "sim/compiled_kernel.hpp"
 #include "spice/subckt.hpp"
 #include "sta/sta.hpp"
 
@@ -45,7 +45,7 @@ struct Sample {
   std::vector<bool> ff_values;
 };
 
-bool sample_fails(const sim::EventSim& esim, const Netlist& netlist,
+bool sample_fails(const sim::CompiledEventSim& esim, const Netlist& netlist,
                   const Sample& sample, Picoseconds capture,
                   Picoseconds width, bool pessimistic) {
   if (width.value() <= 1.0) return false;  // fully quenched by upsizing
@@ -112,10 +112,12 @@ GateResizingResult harden_gate_resizing(const Netlist& netlist,
                                         const GateResizingOptions& options) {
   CWSP_REQUIRE(options.coverage_target > 0.0 &&
                options.coverage_target <= 1.0);
+  CWSP_REQUIRE_MSG(options.samples > 0,
+                   "gate resizing needs at least one sampled strike");
   const CellLibrary& lib = netlist.library();
   const auto sta = run_sta(netlist);
   const Picoseconds capture = core::regular_clock_period(sta.dmax, lib);
-  sim::EventSim esim(netlist);
+  const sim::CompiledEventSim esim(netlist);
   Rng rng(options.seed);
 
   // Sampled strike population: random gate, time, inputs and state.

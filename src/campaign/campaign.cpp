@@ -297,18 +297,17 @@ CampaignResult CampaignEngine::run(const set::StrikePlan& plan,
   // Non-CWSP verdicts and multi-node strikes exist only as closed-form
   // functions of lane facts; the scalar ProtectionSim speaks the CWSP
   // protocol over single-node strikes and nothing else.
-  const bool needs_scalar = options.use_legacy_kernel ||
-                            !options.use_lane_kernel ||
+  const bool needs_scalar = !options.use_lane_kernel ||
                             options.timeout_ms > 0.0 ||
                             static_cast<bool>(options.test_hook);
   CWSP_REQUIRE_MSG(cwsp_semantics || !needs_scalar,
                    "scheme '" << sch.name()
                               << "' resolves verdicts on the strike-lane "
-                                 "kernel only; drop --legacy-kernel and "
-                                 "per-strike timeouts");
+                                 "kernel only; drop the per-strike timeout "
+                                 "(timeout_ms, --timeout-ms)");
   CWSP_REQUIRE_MSG(!multi_node || !needs_scalar,
                    "multi-node strike plans require the strike-lane kernel; "
-                   "drop --legacy-kernel and per-strike timeouts");
+                   "drop the per-strike timeout (timeout_ms, --timeout-ms)");
   CWSP_REQUIRE_MSG(!options.minimize_escapes || cwsp_semantics,
                    "escape minimization replays the CWSP protocol; not "
                    "available for scheme '"
@@ -353,14 +352,9 @@ CampaignResult CampaignEngine::run(const set::StrikePlan& plan,
                    options.resume);
   }
 
-  core::ProtectionSimOptions sim_options;
-  sim_options.use_compiled_kernel = !options.use_legacy_kernel;
-
   // The lane path answers batches of strikes at once, so per-strike
   // wall-clock budgets and per-strike test hooks need the scalar pool.
-  const bool lane_path = options.use_lane_kernel && !options.use_legacy_kernel &&
-                         options.timeout_ms <= 0.0 && !options.test_hook;
-  if (lane_path) {
+  if (!needs_scalar) {
     run_lane_strikes(plan, options, done,
                      writer.has_value() ? &*writer : nullptr, result);
   } else {
@@ -375,8 +369,8 @@ CampaignResult CampaignEngine::run(const set::StrikePlan& plan,
   Watchdog watchdog(jobs);
 
   auto worker = [&](std::size_t worker_id) {
-    core::ProtectionSim sim(*netlist_, params_, clock_period_, sim_options,
-                            kernel_context_);
+    core::ProtectionSim sim(*netlist_, params_, clock_period_,
+                            core::ProtectionSimOptions{}, kernel_context_);
     sim::CancelToken token;
     sim.set_cancel_token(&token);
 
@@ -471,8 +465,8 @@ CampaignResult CampaignEngine::run(const set::StrikePlan& plan,
 
   // ---- escape minimization ------------------------------------------
   if (options.minimize_escapes) {
-    core::ProtectionSim sim(*netlist_, params_, clock_period_, sim_options,
-                            kernel_context_);
+    core::ProtectionSim sim(*netlist_, params_, clock_period_,
+                            core::ProtectionSimOptions{}, kernel_context_);
     for (std::size_t i = 0; i < plan.size(); ++i) {
       const StrikeResult& r = result.strikes[i];
       if (!r.completed() || r.status != StrikeStatus::kEscape) continue;

@@ -63,18 +63,14 @@ struct EngineOptions {
   /// Simulates an interruption deterministically; the journal keeps the
   /// finished work, so `resume` completes the campaign.
   std::size_t stop_after = 0;
-  /// Run strikes on the legacy (full-netlist, allocation-heavy) EventSim
-  /// instead of the compiled kernel. Reports are byte-identical either
-  /// way; this exists for differential tests and the speedup benchmark.
-  bool use_legacy_kernel = false;
   /// Resolve strikes on the fault-parallel strike-lane kernel
   /// (sim::StrikeLaneSim): functional strikes are packed lanes() at a
   /// time into bit-parallel sweeps and protection-path strikes are
   /// answered from the closed-form §3.2 case analysis. Reports are
   /// byte-identical to the scalar ProtectionSim path at any lane width
   /// and any `jobs`; the engine falls back to the scalar path whenever a
-  /// feature needs full per-strike timed simulation plumbing
-  /// (use_legacy_kernel, per-strike timeouts, test hooks).
+  /// feature needs full per-strike timed simulation plumbing (per-strike
+  /// timeouts, test hooks).
   bool use_lane_kernel = true;
   /// Lane width for the strike-lane kernel (64, 256 or 512); 0 picks the
   /// widest ISA-accelerated width this CPU supports.
@@ -91,8 +87,8 @@ struct EngineOptions {
   /// Protection scheme supplying the per-strike verdict semantics;
   /// nullptr selects the registry's default (the paper's CWSP protocol,
   /// byte-identical to the pre-registry engine). Non-CWSP schemes resolve
-  /// verdicts on the strike-lane kernel only (no legacy kernel, per-strike
-  /// timeouts, test hooks or escape minimization).
+  /// verdicts on the strike-lane kernel only (no per-strike timeouts,
+  /// test hooks or escape minimization).
   const scheme::ProtectionScheme* scheme = nullptr;
   /// Name of the fault model that built the plan; recorded in the report
   /// and in per-scenario accounting so merged fabric reports never alias

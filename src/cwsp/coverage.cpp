@@ -43,8 +43,8 @@ CoverageReport run_functional_campaign(const Netlist& netlist,
   Rng rng(options.seed);
   const auto sites = set::strike_sites(netlist);
   CWSP_REQUIRE(!sites.empty());
-  // Runs on the compiled kernel (ProtectionSimOptions default); golden
-  // cycles are cached per stimulus across the protected/unprotected pair.
+  // Runs on the compiled kernel; golden cycles are cached per stimulus
+  // across the protected/unprotected pair.
   ProtectionSim sim(netlist, params, clock_period);
 
   for (std::size_t run = 0; run < options.runs; ++run) {

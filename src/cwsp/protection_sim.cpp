@@ -22,15 +22,10 @@ ProtectionSim::ProtectionSim(
     : netlist_(&netlist),
       params_(params),
       clock_period_(clock_period),
-      options_(options) {
-  if (options_.use_compiled_kernel) {
-    compiled_sim_ = context != nullptr
-                        ? std::make_unique<sim::CompiledEventSim>(
-                              netlist, std::move(context))
-                        : std::make_unique<sim::CompiledEventSim>(netlist);
-  } else {
-    legacy_sim_ = std::make_unique<sim::EventSim>(netlist);
-  }
+      options_(options),
+      sim_(netlist, context != nullptr
+                        ? std::move(context)
+                        : sim::CompiledKernelContext::build(netlist)) {
   params_.validate();
   CWSP_REQUIRE_MSG(netlist.num_flip_flops() > 0,
                    "protection protocol requires flip-flops");
@@ -45,24 +40,14 @@ std::vector<std::vector<bool>> ProtectionSim::golden_run(
     const std::vector<std::vector<bool>>& inputs) const {
   std::vector<std::vector<bool>> outputs;
   outputs.reserve(inputs.size());
-  if (compiled_sim_ != nullptr) {
-    // Clean runs are pure boolean steps — serve them from the kernel's
-    // golden cache (one table-driven pass per distinct stimulus). The
-    // protected/unprotected run pair then shares every cycle's entry.
-    std::vector<bool> q(netlist_->num_flip_flops(), false);
-    for (const auto& x : inputs) {
-      const sim::GoldenCycle& g = compiled_sim_->golden_eval(x, q);
-      outputs.push_back(g.po);
-      q = g.ff_d;
-    }
-    return outputs;
-  }
-  sim::LogicSim golden(*netlist_);
+  // Clean runs are pure boolean steps — serve them from the kernel's
+  // golden cache (one table-driven pass per distinct stimulus). The
+  // protected/unprotected run pair then shares every cycle's entry.
+  std::vector<bool> q(netlist_->num_flip_flops(), false);
   for (const auto& x : inputs) {
-    golden.set_inputs(x);
-    golden.evaluate();
-    outputs.push_back(golden.output_values());
-    golden.clock();
+    const sim::GoldenCycle& g = sim_.golden_eval(x, q);
+    outputs.push_back(g.po);
+    q = g.ff_d;
   }
   return outputs;
 }

@@ -16,8 +16,6 @@
 #include "cwsp/protection_params.hpp"
 #include "cwsp/timing.hpp"
 #include "sim/compiled_kernel.hpp"
-#include "sim/event_sim.hpp"
-#include "sim/logic_sim.hpp"
 
 namespace cwsp::core {
 
@@ -49,11 +47,6 @@ struct ProtectionSimOptions {
   /// a recomputation). Disabling it reproduces the failure mode the paper
   /// explains in §3.2: EQ stays low forever and the pipeline livelocks.
   bool eqglbf_suppression = true;
-  /// Run functional-logic cycles on the compiled kernel (cone-restricted
-  /// event propagation + golden-waveform caching). The legacy EventSim
-  /// path produces bit-identical results and is kept as the differential
-  /// reference for tests and benchmarks.
-  bool use_compiled_kernel = true;
 };
 
 struct ProtectionRunResult {
@@ -115,8 +108,7 @@ class ProtectionSim {
   /// simulator) and throw sim::CancelledError once cancelled.
   void set_cancel_token(const sim::CancelToken* token) {
     cancel_ = token;
-    if (legacy_sim_ != nullptr) legacy_sim_->set_cancel_token(token);
-    if (compiled_sim_ != nullptr) compiled_sim_->set_cancel_token(token);
+    sim_.set_cancel_token(token);
   }
 
  private:
@@ -126,15 +118,12 @@ class ProtectionSim {
     }
   }
 
-  /// Dispatches one functional cycle to the active kernel.
+  /// One functional cycle on the compiled kernel, captured at the
+  /// clock period.
   [[nodiscard]] sim::CycleResult simulate_cycle(
       const std::vector<bool>& pi_values, const std::vector<bool>& ff_q_values,
       const std::optional<set::Strike>& strike) const {
-    return compiled_sim_ != nullptr
-               ? compiled_sim_->simulate_cycle(pi_values, ff_q_values,
-                                               clock_period_, strike)
-               : legacy_sim_->simulate_cycle(pi_values, ff_q_values,
-                                             clock_period_, strike);
+    return sim_.simulate_cycle(pi_values, ff_q_values, clock_period_, strike);
   }
 
   [[nodiscard]] std::vector<std::vector<bool>> golden_run(
@@ -144,9 +133,7 @@ class ProtectionSim {
   ProtectionParams params_;
   Picoseconds clock_period_;
   ProtectionSimOptions options_;
-  /// Exactly one of the two kernels is instantiated (options_ selects).
-  std::unique_ptr<sim::EventSim> legacy_sim_;
-  std::unique_ptr<sim::CompiledEventSim> compiled_sim_;
+  sim::CompiledEventSim sim_;
   const sim::CancelToken* cancel_ = nullptr;
 };
 

@@ -119,8 +119,7 @@ std::string shard_request(const service::DesignSession& session,
      << ",\"runs\":" << spec.runs << ",\"cycles\":" << spec.cycles
      << ",\"width\":" << num17(spec.width_ps) << ",\"seed\":" << spec.seed
      << ",\"jobs\":" << std::max<std::size_t>(1, jobs)
-     << (spec.adversarial ? ",\"adversarial\":true" : "")
-     << (spec.use_legacy_kernel ? ",\"legacy_kernel\":true" : "");
+     << (spec.adversarial ? ",\"adversarial\":true" : "");
   // Scheme/model travel only off the defaults, mirroring the flag-style
   // fields above (a default-cell request is byte-identical to one from a
   // pre-registry coordinator).
@@ -684,7 +683,6 @@ FabricOutcome run_distributed_campaign(const service::DesignSession& session,
     engine_options.seed = spec.seed;
     engine_options.cycles_per_run = spec.cycles;
     engine_options.jobs = std::max<std::size_t>(1, spec.jobs);
-    engine_options.use_legacy_kernel = spec.use_legacy_kernel;
     engine_options.scheme = cell.scheme;
     engine_options.fault_model = cell.model->name();
     sim::CancelToken budget_token;

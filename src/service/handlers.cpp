@@ -79,7 +79,9 @@ std::uint64_t campaign_spec_fingerprint(const CampaignSpec& spec,
   fnv_mix(h, spec.seed);
   fnv_mix(h, std::bit_cast<std::uint64_t>(spec.timeout_ms));
   fnv_mix(h, spec.adversarial ? 1 : 0);
-  fnv_mix(h, spec.use_legacy_kernel ? 1 : 0);
+  // Slot of a retired kernel-selection flag, kept constant so existing
+  // campaign fingerprints (result cache, fabric shard checks) stay valid.
+  fnv_mix(h, 0);
   fnv_mix(h, spec.shard_index);
   fnv_mix(h, spec.shard_total);
   fnv_mix(h, spec.json ? 1 : 0);
@@ -178,7 +180,6 @@ CampaignOutcome run_campaign_cell(const DesignSession& session,
   engine_options.minimize_escapes = spec.minimize_escapes;
   engine_options.artifact_dir = spec.artifact_dir;
   engine_options.stop_after = spec.stop_after;
-  engine_options.use_legacy_kernel = spec.use_legacy_kernel;
   engine_options.cancel = cancel;
   engine_options.scheme = cell.scheme;
   engine_options.fault_model = cell.model->name();
@@ -331,7 +332,6 @@ ShardExecOutcome run_shard_exec(const DesignSession& session,
   engine_options.seed = spec.seed;
   engine_options.cycles_per_run = spec.cycles;
   engine_options.jobs = std::max<std::size_t>(1, spec.jobs);
-  engine_options.use_legacy_kernel = spec.use_legacy_kernel;
   engine_options.cancel = cancel;
   engine_options.scheme = cell.scheme;
   engine_options.fault_model = cell.model->name();

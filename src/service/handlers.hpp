@@ -34,7 +34,6 @@ struct CampaignSpec {
   std::size_t jobs = 1;
   double timeout_ms = 0.0;
   bool adversarial = false;
-  bool use_legacy_kernel = false;
   /// 1-based shard selection; shard_total == 0 disables sharding.
   std::size_t shard_index = 0;
   std::size_t shard_total = 0;

@@ -134,7 +134,6 @@ CampaignSpec parse_campaign_spec(const json::Value& request) {
       1, static_cast<std::size_t>(uint_field(request, "jobs", 1, kMaxJobs)));
   spec.timeout_ms = finite_field(request, "timeout_ms", 0.0, 0.0, kMaxTimeoutMs);
   spec.adversarial = request.boolean("adversarial", false);
-  spec.use_legacy_kernel = request.boolean("legacy_kernel", false);
   spec.shard_index = static_cast<std::size_t>(
       uint_field(request, "shard_index", 0, kMaxShardTotal));
   spec.shard_total = static_cast<std::size_t>(

@@ -271,159 +271,4 @@ DigitalWaveform CompiledEventSim::net_waveform(
   return DigitalWaveform(golden.net_values[net.index()] != 0);
 }
 
-// --------------------------------------------------------------------
-// LogicSim64
-
-LogicSim64::LogicSim64(const Netlist& netlist)
-    : LogicSim64(FlatNetlistView::build(netlist)) {}
-
-LogicSim64::LogicSim64(std::shared_ptr<const FlatNetlistView> view)
-    : view_(std::move(view)) {
-  CWSP_REQUIRE(view_ != nullptr);
-  net_words_.assign(view_->num_nets(), 0);
-  pi_words_.assign(view_->num_primary_inputs(), 0);
-  ff_words_.assign(view_->num_flip_flops(), 0);
-}
-
-void LogicSim64::set_input_word(std::size_t pi, std::uint64_t bits) {
-  CWSP_REQUIRE(pi < pi_words_.size());
-  pi_words_[pi] = bits;
-}
-
-void LogicSim64::set_input_lane(std::size_t pi, std::size_t lane, bool value) {
-  CWSP_REQUIRE(pi < pi_words_.size() && lane < 64);
-  if (value) {
-    pi_words_[pi] |= 1ull << lane;
-  } else {
-    pi_words_[pi] &= ~(1ull << lane);
-  }
-}
-
-void LogicSim64::set_ff_word(std::size_t ff, std::uint64_t bits) {
-  CWSP_REQUIRE(ff < ff_words_.size());
-  ff_words_[ff] = bits;
-}
-
-void LogicSim64::set_ff_lane(std::size_t ff, std::size_t lane, bool value) {
-  CWSP_REQUIRE(ff < ff_words_.size() && lane < 64);
-  if (value) {
-    ff_words_[ff] |= 1ull << lane;
-  } else {
-    ff_words_[ff] &= ~(1ull << lane);
-  }
-}
-
-void LogicSim64::evaluate() {
-  const FlatNetlistView& view = *view_;
-  for (std::size_t n = 0; n < view.num_nets(); ++n) {
-    switch (view.source_kind(n)) {
-      case FlatNetlistView::SourceKind::kPrimaryInput:
-        net_words_[n] = pi_words_[view.source_index(n)];
-        break;
-      case FlatNetlistView::SourceKind::kFlipFlop:
-        net_words_[n] = ff_words_[view.source_index(n)];
-        break;
-      case FlatNetlistView::SourceKind::kConstant:
-        net_words_[n] = view.source_index(n) != 0 ? ~0ull : 0ull;
-        break;
-      default:
-        break;
-    }
-  }
-  for (std::uint32_t g : view.topo_order()) {
-    const std::uint32_t* in = view.gate_inputs_begin(g);
-    const std::uint32_t arity = view.gate_num_inputs(g);
-    const std::uint16_t truth = view.gate_truth(g);
-    // Sum-of-products over the truth table: each satisfied input
-    // assignment contributes the AND of the (possibly complemented)
-    // input words. At most 2^arity terms; cells here are 1–4 inputs.
-    std::uint64_t out = 0;
-    const unsigned combos = 1u << arity;
-    for (unsigned a = 0; a < combos; ++a) {
-      if (((truth >> a) & 1u) == 0) continue;
-      std::uint64_t term = ~0ull;
-      for (std::uint32_t i = 0; i < arity; ++i) {
-        const std::uint64_t w = net_words_[in[i]];
-        term &= ((a >> i) & 1u) != 0 ? w : ~w;
-      }
-      out |= term;
-    }
-    net_words_[view.gate_output(g)] = out;
-  }
-  for (std::uint32_t n : overlay_nets_) overlay_valid_[n] = 0;
-  overlay_nets_.clear();
-}
-
-void LogicSim64::evaluate_with_flip(NetId site) {
-  const FlatNetlistView& view = *view_;
-  CWSP_REQUIRE(site.valid() && site.index() < net_words_.size());
-  if (overlay_words_.size() != net_words_.size()) {
-    overlay_words_.assign(net_words_.size(), 0);
-    overlay_valid_.assign(net_words_.size(), 0);
-  }
-  for (std::uint32_t n : overlay_nets_) overlay_valid_[n] = 0;
-  overlay_nets_.clear();
-
-  const std::uint32_t s = static_cast<std::uint32_t>(site.index());
-  overlay_words_[s] = ~net_words_[s];
-  overlay_valid_[s] = 1;
-  overlay_nets_.push_back(s);
-
-  for (std::uint32_t g : view.cone_of(site)) {
-    const std::uint32_t* in = view.gate_inputs_begin(g);
-    const std::uint32_t arity = view.gate_num_inputs(g);
-    const std::uint16_t truth = view.gate_truth(g);
-    std::uint64_t out = 0;
-    const unsigned combos = 1u << arity;
-    for (unsigned a = 0; a < combos; ++a) {
-      if (((truth >> a) & 1u) == 0) continue;
-      std::uint64_t term = ~0ull;
-      for (std::uint32_t i = 0; i < arity; ++i) {
-        const std::uint32_t n = in[i];
-        const std::uint64_t w =
-            overlay_valid_[n] != 0 ? overlay_words_[n] : net_words_[n];
-        term &= ((a >> i) & 1u) != 0 ? w : ~w;
-      }
-      out |= term;
-    }
-    const std::uint32_t out_net = view.gate_output(g);
-    overlay_words_[out_net] = out;
-    overlay_valid_[out_net] = 1;
-    overlay_nets_.push_back(out_net);
-  }
-}
-
-std::uint64_t LogicSim64::flip_diff(NetId net) const {
-  CWSP_REQUIRE(net.valid() && net.index() < net_words_.size());
-  const std::size_t n = net.index();
-  if (n >= overlay_valid_.size() || overlay_valid_[n] == 0) return 0;
-  return overlay_words_[n] ^ net_words_[n];
-}
-
-void LogicSim64::clock() {
-  for (std::size_t f = 0; f < ff_words_.size(); ++f) {
-    ff_words_[f] = net_words_[view_->ff_d_net(f)];
-  }
-}
-
-std::uint64_t LogicSim64::value_word(NetId net) const {
-  CWSP_REQUIRE(net.valid() && net.index() < net_words_.size());
-  return net_words_[net.index()];
-}
-
-bool LogicSim64::value(NetId net, std::size_t lane) const {
-  CWSP_REQUIRE(lane < 64);
-  return (value_word(net) >> lane) & 1u;
-}
-
-std::uint64_t LogicSim64::output_word(std::size_t po_index) const {
-  CWSP_REQUIRE(po_index < view_->po_nets().size());
-  return net_words_[view_->po_nets()[po_index]];
-}
-
-std::uint64_t LogicSim64::ff_word(std::size_t ff) const {
-  CWSP_REQUIRE(ff < ff_words_.size());
-  return ff_words_[ff];
-}
-
 }  // namespace cwsp::sim

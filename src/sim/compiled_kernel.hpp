@@ -1,22 +1,18 @@
 #pragma once
 // Compiled simulation kernel: the allocation-free fast path the campaign,
-// coverage and protection-protocol layers run on.
+// coverage, certify and protection-protocol layers run on.
 //
-// Three cooperating pieces, all built over a shared FlatNetlistView:
+// Two cooperating pieces, both built over a shared FlatNetlistView:
 //
-//   * CompiledEventSim — drop-in replacement for sim::EventSim with the
-//     same cycle semantics, byte-identical results, and three structural
-//     optimisations: (1) golden (no-strike) cycles collapse to a single
-//     table-driven logic pass whose result is memoized per (PI, FF-state)
-//     stimulus; (2) struck cycles only event-simulate the gates inside
-//     the struck net's fanout cone, reading golden constants everywhere
-//     else; (3) all per-cycle state lives in reusable scratch buffers —
-//     steady-state simulation performs no heap allocation.
-//
-//   * LogicSim64 — 64-way bit-parallel zero-delay logic simulator: packs
-//     64 stimulus patterns into one machine word per net and evaluates
-//     all of them in a single topological pass (used by equivalence
-//     sweeps and differential tests).
+//   * CompiledEventSim — the production timed simulator, with three
+//     structural optimisations over a full-netlist event propagation:
+//     (1) golden (no-strike) cycles collapse to a single table-driven
+//     logic pass whose result is memoized per (PI, FF-state) stimulus;
+//     (2) struck cycles only event-simulate the gates inside the struck
+//     net's fanout cone, reading golden constants everywhere else;
+//     (3) all per-cycle state lives in reusable scratch buffers —
+//     steady-state simulation performs no heap allocation. Tests pin it
+//     bit for bit to the full-netlist EventSim oracle (tests/oracle).
 //
 //   * CompiledKernelContext — the shareable immutable part (flat view +
 //     STA gate delays), built once per netlist and handed to every
@@ -32,9 +28,38 @@
 #include <vector>
 
 #include "netlist/flat_view.hpp"
-#include "sim/event_sim.hpp"
+#include "set/strike_plan.hpp"
+#include "sim/cancel.hpp"
+#include "sim/digital_waveform.hpp"
 
 namespace cwsp::sim {
+
+struct CycleResult {
+  /// Per-FF D value with no strike (golden) and with the strike, sampled
+  /// at the capture edge.
+  std::vector<bool> golden_d;
+  std::vector<bool> latched_d;
+  /// True where the glitch toggles inside the setup/hold aperture (the
+  /// latch may capture either value; pessimistically treated as corrupt
+  /// by unprotected-design analyses).
+  std::vector<bool> aperture_violation;
+
+  /// Primary-output values at the capture edge (golden / struck).
+  std::vector<bool> golden_po;
+  std::vector<bool> struck_po;
+
+  /// True if the strike's pulse reached any timing endpoint (FF D pin or
+  /// primary output) at all — the pessimistic criterion gate-resizing
+  /// approaches use, ignoring latching-window masking.
+  bool glitch_reached_endpoint = false;
+
+  [[nodiscard]] bool any_ff_corrupted() const {
+    for (std::size_t i = 0; i < latched_d.size(); ++i) {
+      if (latched_d[i] != golden_d[i] || aperture_violation[i]) return true;
+    }
+    return false;
+  }
+};
 
 /// Immutable per-netlist data shared by compiled kernels across threads:
 /// the flattened topology and the STA-derived per-gate delays.
@@ -67,7 +92,11 @@ class CompiledEventSim {
   /// metrics registry (kernel.golden_cache_*) — zero hot-path overhead.
   ~CompiledEventSim();
 
-  /// Same contract as EventSim::simulate_cycle, same results to the bit.
+  /// Simulates one cycle: sources take `pi_values` / `ff_q_values` at
+  /// t=0, flip-flops capture at `capture_time`. The optional strike
+  /// inverts its net during [start, start+width); the pulse propagates
+  /// with per-gate STA delays under logical, electrical (inertial) and
+  /// latching-window masking.
   [[nodiscard]] CycleResult simulate_cycle(
       const std::vector<bool>& pi_values, const std::vector<bool>& ff_q_values,
       Picoseconds capture_time,
@@ -86,7 +115,8 @@ class CompiledEventSim {
                                            Picoseconds capture_time,
                                            const set::Strike& strike) const;
 
-  /// Same contract as EventSim::net_waveform.
+  /// The waveform on `net` for the same scenario (for inspection and
+  /// tests).
   [[nodiscard]] DigitalWaveform net_waveform(
       const std::vector<bool>& pi_values, const std::vector<bool>& ff_q_values,
       const std::optional<set::Strike>& strike, NetId net) const;
@@ -95,6 +125,8 @@ class CompiledEventSim {
     return context_->view->netlist();
   }
 
+  /// Installs a cooperative cancellation token (nullptr detaches),
+  /// polled per cone gate; a cancelled token throws CancelledError.
   void set_cancel_token(const CancelToken* token) { cancel_ = token; }
 
   /// Clean-run step: settled PO values and next FF state for one stimulus,
@@ -159,57 +191,6 @@ class CompiledEventSim {
   mutable std::vector<char> touched_;
   mutable std::vector<std::uint32_t> touched_list_;
   mutable std::vector<double> times_;
-};
-
-/// 64-way bit-parallel zero-delay logic simulator. Lane `l` of every word
-/// is an independent simulation: 64 stimulus patterns settle per
-/// topological pass. Mirrors LogicSim's API with words instead of bools.
-class LogicSim64 {
- public:
-  explicit LogicSim64(const Netlist& netlist);
-  explicit LogicSim64(std::shared_ptr<const FlatNetlistView> view);
-
-  [[nodiscard]] std::size_t num_lanes() const { return 64; }
-
-  void set_input_word(std::size_t pi, std::uint64_t bits);
-  void set_input_lane(std::size_t pi, std::size_t lane, bool value);
-  void set_ff_word(std::size_t ff, std::uint64_t bits);
-  void set_ff_lane(std::size_t ff, std::size_t lane, bool value);
-
-  /// Settles combinational logic for all 64 lanes in one topo pass.
-  void evaluate();
-  /// Latches every flip-flop in every lane (Q ← D).
-  void clock();
-
-  /// Re-evaluates only `site`'s fanout cone with the site word inverted
-  /// in every lane, against the values of the last evaluate(). The base
-  /// words are untouched; compare via flip_diff. O(|cone|), so sweeping
-  /// many sites against one stimulus batch costs one full pass plus one
-  /// cone pass per site instead of a full pass per site.
-  void evaluate_with_flip(NetId site);
-  /// Per-lane XOR between the flipped overlay and the base evaluation of
-  /// `net` (zero for nets outside the flipped site's cone). Only valid
-  /// after evaluate_with_flip; cleared by the next evaluate().
-  [[nodiscard]] std::uint64_t flip_diff(NetId net) const;
-
-  [[nodiscard]] std::uint64_t value_word(NetId net) const;
-  [[nodiscard]] bool value(NetId net, std::size_t lane) const;
-  [[nodiscard]] std::uint64_t output_word(std::size_t po_index) const;
-  [[nodiscard]] std::uint64_t ff_word(std::size_t ff) const;
-
-  [[nodiscard]] const Netlist& netlist() const { return view_->netlist(); }
-
- private:
-  std::shared_ptr<const FlatNetlistView> view_;
-  std::vector<std::uint64_t> net_words_;
-  std::vector<std::uint64_t> pi_words_;
-  std::vector<std::uint64_t> ff_words_;
-
-  // Flip-overlay scratch (evaluate_with_flip / flip_diff). Sparse: only
-  // the nets in overlay_nets_ carry overlay values; reset is O(touched).
-  std::vector<std::uint64_t> overlay_words_;
-  std::vector<char> overlay_valid_;
-  std::vector<std::uint32_t> overlay_nets_;
 };
 
 }  // namespace cwsp::sim

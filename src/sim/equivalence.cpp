@@ -1,7 +1,8 @@
 #include "sim/equivalence.hpp"
 
 #include "common/rng.hpp"
-#include "sim/compiled_kernel.hpp"
+#include "netlist/flat_view.hpp"
+#include "sim/strike_lanes.hpp"
 
 namespace cwsp {
 namespace {
@@ -47,8 +48,11 @@ EquivalenceResult check_equivalence(const Netlist& a, const Netlist& b,
   // pass. Lanes are filled in enumeration order, so the counterexample —
   // lowest lane of the first failing batch, lowest output index — is the
   // same vector the scalar reference implementation would report.
-  sim::LogicSim64 sim_a(a);
-  sim::LogicSim64 sim_b(b);
+  sim::WideLogicSim sim_a(FlatNetlistView::build(a), 64);
+  sim::WideLogicSim sim_b(FlatNetlistView::build(b), 64);
+  auto output_word = [](const sim::WideLogicSim& sim, std::size_t k) {
+    return *sim.net_words(sim.view().po_nets()[k]);
+  };
 
   EquivalenceResult result;
   result.exhaustive =
@@ -77,7 +81,7 @@ EquivalenceResult check_equivalence(const Netlist& a, const Netlist& b,
         lanes == 64 ? ~0ull : (1ull << lanes) - 1;
     std::uint64_t any_diff = 0;
     for (std::size_t k = 0; k < n_out; ++k) {
-      any_diff |= (sim_a.output_word(k) ^ sim_b.output_word(k)) & lane_mask;
+      any_diff |= (output_word(sim_a, k) ^ output_word(sim_b, k)) & lane_mask;
       if (any_diff != 0) break;
     }
     if (any_diff == 0) {
@@ -86,8 +90,8 @@ EquivalenceResult check_equivalence(const Netlist& a, const Netlist& b,
     }
     for (std::size_t l = 0; l < lanes; ++l) {
       for (std::size_t k = 0; k < n_out; ++k) {
-        const bool va = (sim_a.output_word(k) >> l) & 1u;
-        const bool vb = (sim_b.output_word(k) >> l) & 1u;
+        const bool va = (output_word(sim_a, k) >> l) & 1u;
+        const bool vb = (output_word(sim_b, k) >> l) & 1u;
         if (va != vb) {
           result.vectors_checked += l + 1;
           result.counterexample =

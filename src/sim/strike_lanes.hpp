@@ -5,9 +5,9 @@
 //
 // Two cooperating pieces:
 //
-//   * WideLogicSim — the width-generic generalization of LogicSim64:
-//     every net carries K consecutive 64-bit words (K = 1/4/8 → 64/256/
-//     512 lanes), and the topological sweep is instantiated once per K
+//   * WideLogicSim — the bit-parallel zero-delay simulator: every net
+//     carries K consecutive 64-bit words (K = 1/4/8 → 64/256/512
+//     lanes), and the topological sweep is instantiated once per K
 //     in separate translation units compiled for the matching ISA
 //     (portable baseline always; AVX2 for K=4 and AVX-512 for K=8 when
 //     the compiler supports the flags). Dispatch is resolved at runtime
@@ -104,7 +104,10 @@ class WideLogicSim {
   /// Latches every flip-flop in every lane (Q ← D).
   void clock();
   /// Re-evaluates only `site`'s fanout cone with the site inverted in
-  /// every lane (see LogicSim64::evaluate_with_flip).
+  /// every lane, against the values of the last evaluate(). The base
+  /// words are untouched; compare via flip_diff_word. O(|cone|), so
+  /// sweeping many sites against one stimulus batch costs one full pass
+  /// plus one cone pass per site instead of a full pass per site.
   void evaluate_with_flip(NetId site);
   /// Word `w` of the per-lane XOR between the flip overlay and the base
   /// evaluation of `net` (zero outside the flipped cone).
@@ -135,7 +138,9 @@ class WideLogicSim {
   std::vector<std::uint64_t> pi_words_;
   std::vector<std::uint64_t> ff_words_;
 
-  // Flip-overlay scratch (sparse; see LogicSim64).
+  // Flip-overlay scratch (evaluate_with_flip / flip_diff_word). Sparse:
+  // only the nets in overlay_nets_ carry overlay values; reset is
+  // O(touched).
   std::vector<std::uint64_t> overlay_words_;
   std::vector<char> overlay_valid_;
   std::vector<std::uint32_t> overlay_nets_;

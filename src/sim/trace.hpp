@@ -3,8 +3,9 @@
 //
 // TraceRecorder captures selected nets of a LogicSim run cycle by cycle;
 // write_vcd emits the standard Value Change Dump format any waveform
-// viewer (GTKWave etc.) opens. EventSim's intra-cycle glitch waveforms
-// can be overlaid via add_waveform (timestamps in ps within a cycle).
+// viewer (GTKWave etc.) opens. An intra-cycle glitch waveform from the
+// timed simulator (CompiledEventSim::net_waveform) is written by
+// write_waveform_vcd (timestamps in ps within a cycle).
 
 #include <iosfwd>
 #include <string>

@@ -2,11 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "bencharness/generator.hpp"
 #include "netlist/bench_parser.hpp"
 
 namespace cwsp::baselines {
 namespace {
+
+/// FNV-1a over (gate index, log2 multiplier) of every upsized gate:
+/// which gates the greedy loop picked, and how far it grew each.
+std::uint64_t multiplier_digest(const std::vector<double>& multipliers) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::size_t g = 0; g < multipliers.size(); ++g) {
+    if (multipliers[g] == 1.0) continue;
+    const auto level = static_cast<std::uint64_t>(std::log2(multipliers[g]));
+    for (const std::uint64_t v : {std::uint64_t{g}, level}) {
+      h ^= v;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
 
 class BaselinesTest : public ::testing::Test {
  protected:
@@ -73,6 +91,40 @@ TEST_F(BaselinesTest, GateResizingReachesCoverageTarget) {
   // Resizing touches the functional path but only mildly (paper: ~2.8%).
   EXPECT_LT(r.report.delay_overhead_pct(), 10.0);
   EXPECT_LT(r.report.protection_pct, 100.0);
+}
+
+TEST_F(BaselinesTest, GateResizingResultIsPinned) {
+  // Values recorded with the full-netlist EventSim oracle. One flipped
+  // sample verdict changes the greedy upsizing sequence and so the
+  // resized set. Both criteria run: glitch-reaches-endpoint and latched
+  // corruption.
+  GateResizingOptions options;
+  options.samples = 150;
+  options.seed = 3;
+  options.coverage_target = 0.95;
+  const auto pessimistic = harden_gate_resizing(gen_.netlist, options);
+  EXPECT_EQ(pessimistic.resized_gates, 132);
+  // 7 of the 150 samples still fail.
+  EXPECT_DOUBLE_EQ(pessimistic.achieved_coverage_pct,
+                   (1.0 - 7.0 / 150.0) * 100.0);
+  EXPECT_DOUBLE_EQ(pessimistic.report.protection_pct,
+                   pessimistic.achieved_coverage_pct);
+  EXPECT_EQ(multiplier_digest(pessimistic.multipliers),
+            0xd8046cb33b2b3798ULL);
+
+  options.pessimistic_latching = false;
+  const auto latched = harden_gate_resizing(gen_.netlist, options);
+  EXPECT_EQ(latched.resized_gates, 32);
+  EXPECT_DOUBLE_EQ(latched.achieved_coverage_pct,
+                   (1.0 - 7.0 / 150.0) * 100.0);
+  EXPECT_EQ(multiplier_digest(latched.multipliers), 0x76bfc298c68b4e42ULL);
+}
+
+TEST_F(BaselinesTest, GateResizingRejectsZeroSamples) {
+  // With no sampled strikes the coverage ratio is 0/0.
+  GateResizingOptions options;
+  options.samples = 0;
+  EXPECT_THROW((void)harden_gate_resizing(gen_.netlist, options), Error);
 }
 
 TEST_F(BaselinesTest, ResizedDmaxIdentityWhenAllOnes) {

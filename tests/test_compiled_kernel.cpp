@@ -1,19 +1,18 @@
 // Differential tests of the compiled simulation kernel against the
-// legacy scalar simulators, over fuzzed netlists: CompiledEventSim must
-// reproduce EventSim bit-for-bit (waveforms, latched values, aperture
-// flags — strike and no-strike), LogicSim64 must agree with LogicSim in
-// every lane, and ProtectionSim must produce identical protocol runs on
-// either kernel. Plus unit tests of the golden-waveform cache and of
-// resolve_strike's read set on a generated C880.
+// full-netlist EventSim oracle (tests/oracle), over fuzzed netlists:
+// CompiledEventSim must reproduce EventSim bit-for-bit (waveforms,
+// latched values, aperture flags — strike and no-strike), and its golden
+// steps must match scalar LogicSim. Plus unit tests of the
+// golden-waveform cache and of resolve_strike's read set on a generated
+// C880.
 
 #include <gtest/gtest.h>
 
 #include "bencharness/generator.hpp"
-#include "cwsp/protection_sim.hpp"
 #include "netlist_fuzz.hpp"
+#include "oracle/event_sim.hpp"
 #include "set/strike_plan.hpp"
 #include "sim/compiled_kernel.hpp"
-#include "sim/event_sim.hpp"
 #include "sim/logic_sim.hpp"
 
 namespace cwsp {
@@ -90,97 +89,6 @@ TEST_P(CompiledKernelDifferential, MatchesEventSimUnderStrikes) {
       ASSERT_EQ(wl.initial(), wc.initial()) << context << " net " << m;
       ASSERT_EQ(wl.transitions(), wc.transitions()) << context << " net " << m;
     }
-  }
-}
-
-TEST_P(CompiledKernelDifferential, LogicSim64LanesMatchScalarLogicSim) {
-  const auto netlist = testing::make_random_netlist(lib_, GetParam());
-  sim::LogicSim64 wide(netlist);
-  Rng rng(GetParam() ^ 0x64);
-
-  // Three clocked steps: lane l of the wide simulator must track an
-  // independent scalar simulation, including FF state evolution.
-  std::vector<sim::LogicSim> scalars;
-  scalars.reserve(8);
-  for (int l = 0; l < 8; ++l) scalars.emplace_back(netlist);
-
-  for (int step = 0; step < 3; ++step) {
-    std::vector<std::vector<bool>> lane_inputs(8);
-    for (int l = 0; l < 8; ++l) {
-      lane_inputs[l] = random_bits(netlist.primary_inputs().size(), rng);
-      for (std::size_t i = 0; i < lane_inputs[l].size(); ++i) {
-        wide.set_input_lane(i, l, lane_inputs[l][i]);
-      }
-      scalars[l].set_inputs(lane_inputs[l]);
-    }
-    wide.evaluate();
-    for (int l = 0; l < 8; ++l) scalars[l].evaluate();
-
-    for (int l = 0; l < 8; ++l) {
-      for (std::size_t n = 0; n < netlist.num_nets(); ++n) {
-        ASSERT_EQ(wide.value(NetId{n}, l), scalars[l].value(NetId{n}))
-            << "seed " << GetParam() << " step " << step << " lane " << l
-            << " net " << n;
-      }
-      for (std::size_t k = 0; k < netlist.primary_outputs().size(); ++k) {
-        EXPECT_EQ((wide.output_word(k) >> l) & 1u,
-                  scalars[l].output_values()[k] ? 1u : 0u);
-      }
-    }
-    wide.clock();
-    for (int l = 0; l < 8; ++l) scalars[l].clock();
-    for (int l = 0; l < 8; ++l) {
-      for (std::size_t f = 0; f < netlist.num_flip_flops(); ++f) {
-        EXPECT_EQ((wide.ff_word(f) >> l) & 1u,
-                  scalars[l].ff_state()[f] ? 1u : 0u);
-      }
-    }
-  }
-}
-
-TEST_P(CompiledKernelDifferential, ProtectionRunsIdenticalOnEitherKernel) {
-  testing::FuzzOptions fuzz;
-  fuzz.num_flip_flops = 3;
-  const auto netlist = testing::make_random_netlist(lib_, GetParam(), fuzz);
-  const auto params = core::ProtectionParams::q100();
-  const Picoseconds period(2400.0);
-
-  core::ProtectionSimOptions legacy_opts;
-  legacy_opts.use_compiled_kernel = false;
-  core::ProtectionSimOptions compiled_opts;
-  compiled_opts.use_compiled_kernel = true;
-  const core::ProtectionSim legacy(netlist, params, period, legacy_opts);
-  const core::ProtectionSim compiled(netlist, params, period, compiled_opts);
-
-  Rng rng(GetParam() ^ 0xc0de);
-  const auto sites = set::strike_sites(netlist);
-  for (int trial = 0; trial < 4; ++trial) {
-    std::vector<std::vector<bool>> inputs(6);
-    for (auto& vec : inputs) {
-      vec = random_bits(netlist.primary_inputs().size(), rng);
-    }
-    core::ScheduledStrike strike;
-    strike.cycle = rng.next_below(inputs.size());
-    strike.target = core::StrikeTarget::kFunctional;
-    strike.strike.node = sites[rng.next_below(sites.size())];
-    strike.strike.start = Picoseconds(rng.next_double_in(0.0, period.value()));
-    strike.strike.width = Picoseconds(rng.next_double_in(50.0, 500.0));
-
-    const auto rl = legacy.run(inputs, {strike});
-    const auto rc = compiled.run(inputs, {strike});
-    EXPECT_EQ(rl.bubbles, rc.bubbles);
-    EXPECT_EQ(rl.detected_errors, rc.detected_errors);
-    EXPECT_EQ(rl.spurious_recomputes, rc.spurious_recomputes);
-    EXPECT_EQ(rl.silent_corruptions, rc.silent_corruptions);
-    EXPECT_EQ(rl.livelocked, rc.livelocked);
-    EXPECT_EQ(rl.total_cycles, rc.total_cycles);
-    EXPECT_EQ(rl.golden_outputs, rc.golden_outputs);
-    EXPECT_EQ(rl.committed_outputs, rc.committed_outputs);
-
-    const auto ul = legacy.run_unprotected(inputs, {strike});
-    const auto uc = compiled.run_unprotected(inputs, {strike});
-    EXPECT_EQ(ul.corrupted_cycles, uc.corrupted_cycles);
-    EXPECT_EQ(ul.outputs, uc.outputs);
   }
 }
 

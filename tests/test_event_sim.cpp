@@ -1,4 +1,4 @@
-#include "sim/event_sim.hpp"
+#include "oracle/event_sim.hpp"
 
 #include <gtest/gtest.h>
 

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "netlist/bench_parser.hpp"
-#include "sim/event_sim.hpp"
+#include "oracle/event_sim.hpp"
 #include "sim/logic_sim.hpp"
 
 namespace cwsp::spice {

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "netlist_fuzz.hpp"
-#include "sim/event_sim.hpp"
+#include "oracle/event_sim.hpp"
 #include "sim/logic_sim.hpp"
 
 namespace cwsp {

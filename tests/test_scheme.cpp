@@ -57,6 +57,21 @@ class SchemeTest : public ::testing::Test {
     return campaign::format_campaign_json(result, plan, netlist_, options,
                                           period_);
   }
+
+  /// Runs `plan` expecting a cwsp::Error whose message contains `needle`
+  /// and names no retired option.
+  void expect_rejected(const set::StrikePlan& plan,
+                       const campaign::EngineOptions& options,
+                       const std::string& needle) const {
+    try {
+      (void)engine().run(plan, options);
+      ADD_FAILURE() << "campaign ran; expected a rejection naming " << needle;
+    } catch (const Error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(needle), std::string::npos) << message;
+      EXPECT_EQ(message.find("legacy"), std::string::npos) << message;
+    }
+  }
 };
 
 // ---- registry -------------------------------------------------------
@@ -122,6 +137,41 @@ TEST_F(SchemeTest, TmrAndLocoReportsAreByteIdenticalAcrossJobCounts) {
           << name << " x " << model->name();
     }
   }
+}
+
+// ---- rejections -----------------------------------------------------
+
+TEST_F(SchemeTest, TimedNonCwspCampaignsAreRejected) {
+  const set::StrikePlan plan =
+      set::build_strike_plan(netlist_, plan_options(), 9);
+  for (const char* name : {"tmr", "loco"}) {
+    campaign::EngineOptions options;
+    options.cycles_per_run = 10;
+    options.scheme = find_scheme(name);
+    options.timeout_ms = 1000.0;
+    expect_rejected(plan, options, name);
+    expect_rejected(plan, options, "timeout");
+  }
+}
+
+TEST_F(SchemeTest, TimedDoubleSetPlansAreRejected) {
+  const set::StrikePlan plan =
+      find_fault_model("double-set")->build_plan(netlist_, plan_options(), 9);
+  campaign::EngineOptions options;
+  options.cycles_per_run = 10;
+  options.fault_model = "double-set";
+  options.timeout_ms = 1000.0;
+  expect_rejected(plan, options, "timeout");
+}
+
+TEST_F(SchemeTest, LocoEscapeMinimizationIsRejected) {
+  const set::StrikePlan plan =
+      set::build_strike_plan(netlist_, plan_options(), 9);
+  campaign::EngineOptions options;
+  options.cycles_per_run = 10;
+  options.scheme = find_scheme("loco");
+  options.minimize_escapes = true;
+  expect_rejected(plan, options, "loco");
 }
 
 // ---- double-set model -----------------------------------------------
@@ -224,6 +274,13 @@ TEST(SchemeService, DefaultSpecFingerprintIsStableAcrossSpellings) {
   tmr.schemes = {"tmr"};
   EXPECT_NE(service::campaign_spec_fingerprint(implicit, 42),
             service::campaign_spec_fingerprint(tmr, 42));
+}
+
+TEST(SchemeService, DefaultSpecFingerprintIsPinned) {
+  // Campaign fingerprints key the service result cache and the fabric's
+  // shard checks; retiring a spec field must not move them.
+  EXPECT_EQ(service::campaign_spec_fingerprint(service::CampaignSpec{}, 42),
+            0x9358f692ff3433f7ULL);
 }
 
 TEST(SchemeService, CampaignCellsFormTheCrossProduct) {

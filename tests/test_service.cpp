@@ -120,6 +120,27 @@ TEST_F(ServiceTest, CampaignPayloadIsByteIdenticalToDirectExecution) {
             campaign::to_string(direct.status));
 }
 
+TEST_F(ServiceTest, RetiredLegacyKernelFieldLeavesThePayloadUnchanged) {
+  // Clients may still send the retired `legacy_kernel` field; it is
+  // ignored like any unknown field and must not change the report.
+  start(2, 8);
+  const auto with_field =
+      call(R"({"op":"campaign","runs":6,"seed":5,"legacy_kernel":true,)" +
+           json_design_field() + "}");
+  ASSERT_TRUE(with_field.boolean("ok", false)) << with_field.text("error", "");
+  const auto without_field =
+      call(R"({"op":"campaign","runs":6,"seed":5,)" + json_design_field() +
+           "}");
+  ASSERT_TRUE(without_field.boolean("ok", false));
+  EXPECT_EQ(with_field.text("payload", ""), without_field.text("payload", ""));
+
+  const auto session = DesignSession::build("demo", kDesign, lib_);
+  CampaignSpec spec;
+  spec.runs = 6;
+  spec.seed = 5;
+  EXPECT_EQ(with_field.text("payload", ""), run_campaign(*session, spec).output);
+}
+
 TEST_F(ServiceTest, StaLintCoverageMatchDirectExecution) {
   start(2, 8);
   const auto session = DesignSession::build("demo", kDesign, lib_);

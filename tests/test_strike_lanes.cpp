@@ -5,9 +5,9 @@
 //
 //   * WideLogicSim at every supported lane width (64/256/512 — portable
 //     or vectorized, whatever this build dispatches) against the scalar
-//     LogicSim lane by lane, and its flip sweeps against LogicSim64
-//     subword by subword, over fuzzed netlists and the embedded ISCAS
-//     circuits;
+//     LogicSim lane by lane, and its flip sweeps against a scalar
+//     flipped evaluation lane by lane, over fuzzed netlists and the
+//     embedded ISCAS circuits;
 //   * the campaign engine's lane path against the scalar ProtectionSim
 //     worker pool: identical plans produce byte-identical JSON reports
 //     at every lane width and jobs value, including edge batches
@@ -98,6 +98,44 @@ TEST_P(WideLogicSimDifferential, EveryWidthTracksScalarLogicSimPerLane) {
   }
 }
 
+/// Zero-delay value of every net for one stimulus, with `site` inverted
+/// as soon as its value is set (an invalid site inverts nothing): the
+/// scalar reference for WideLogicSim's flip sweeps.
+std::vector<char> scalar_flip_values(const Netlist& netlist,
+                                     const std::vector<bool>& inputs,
+                                     const std::vector<bool>& state,
+                                     NetId site) {
+  std::vector<char> values(netlist.num_nets(), 0);
+  auto set = [&](NetId net, bool value) {
+    values[net.index()] = value != (net == site);
+  };
+  for (std::size_t n = 0; n < netlist.num_nets(); ++n) {
+    const Net& net = netlist.net(NetId{n});
+    switch (net.driver_kind) {
+      case DriverKind::kPrimaryInput:
+        set(NetId{n}, inputs[net.driver_index]);
+        break;
+      case DriverKind::kFlipFlop:
+        set(NetId{n}, state[net.driver_index]);
+        break;
+      case DriverKind::kConstant:
+        set(NetId{n}, net.constant_value);
+        break;
+      default:
+        break;
+    }
+  }
+  for (GateId g : netlist.topological_order()) {
+    const Gate& gate = netlist.gate(g);
+    unsigned bits = 0;
+    for (std::size_t i = 0; i < gate.inputs.size(); ++i) {
+      if (values[gate.inputs[i].index()] != 0) bits |= 1u << i;
+    }
+    set(gate.output, netlist.cell_of(g).evaluate(bits));
+  }
+  return values;
+}
+
 TEST_P(WideLogicSimDifferential, FlipSweepsMatchLogicSim64PerSubword) {
   const auto netlist = testing::make_random_netlist(lib_, GetParam());
   const auto context = sim::CompiledKernelContext::build(netlist);
@@ -105,14 +143,12 @@ TEST_P(WideLogicSimDifferential, FlipSweepsMatchLogicSim64PerSubword) {
   const std::size_t nff = netlist.num_flip_flops();
 
   for (std::size_t width : sim::WideLogicSim::supported_lane_widths()) {
-    const std::size_t words = width / 64;
     sim::WideLogicSim wide(context->view, width);
-    sim::LogicSim64 narrow(context->view);
     Rng rng(GetParam() ^ (width << 8));
 
-    // One wide batch == `words` independent 64-lane batches.
     std::vector<std::vector<bool>> lane_inputs(width);
     std::vector<std::vector<bool>> lane_state(width);
+    std::vector<std::vector<char>> base(width);
     for (std::size_t l = 0; l < width; ++l) {
       lane_inputs[l] = random_bits(npi, rng);
       lane_state[l] = random_bits(nff, rng);
@@ -122,29 +158,24 @@ TEST_P(WideLogicSimDifferential, FlipSweepsMatchLogicSim64PerSubword) {
       for (std::size_t f = 0; f < nff; ++f) {
         wide.set_ff_lane(f, l, lane_state[l][f]);
       }
+      base[l] = scalar_flip_values(netlist, lane_inputs[l], lane_state[l],
+                                   NetId{});
     }
     wide.evaluate();
 
-    for (std::size_t w = 0; w < words; ++w) {
-      for (std::size_t l = 0; l < 64; ++l) {
-        const std::size_t src = w * 64 + l;
-        for (std::size_t i = 0; i < npi; ++i) {
-          narrow.set_input_lane(i, l, lane_inputs[src][i]);
-        }
-        for (std::size_t f = 0; f < nff; ++f) {
-          narrow.set_ff_lane(f, l, lane_state[src][f]);
-        }
-      }
-      narrow.evaluate();
-
-      for (std::size_t site = 0; site < netlist.num_nets(); ++site) {
-        wide.evaluate_with_flip(NetId{site});
-        narrow.evaluate_with_flip(NetId{site});
+    // Every lane's flip diff is (flipped != base) of its own scalar runs,
+    // in every 64-lane subword.
+    for (std::size_t site = 0; site < netlist.num_nets(); ++site) {
+      wide.evaluate_with_flip(NetId{site});
+      for (std::size_t l = 0; l < width; ++l) {
+        const auto flipped = scalar_flip_values(netlist, lane_inputs[l],
+                                                lane_state[l], NetId{site});
         for (std::size_t n = 0; n < netlist.num_nets(); ++n) {
-          ASSERT_EQ(wide.flip_diff_word(NetId{n}, w),
-                    narrow.flip_diff(NetId{n}))
-              << "seed " << GetParam() << " width " << width << " subword "
-              << w << " site " << site << " net " << n;
+          const bool diff =
+              ((wide.flip_diff_word(NetId{n}, l / 64) >> (l % 64)) & 1u) != 0;
+          ASSERT_EQ(diff, flipped[n] != base[l][n])
+              << "seed " << GetParam() << " width " << width << " site "
+              << site << " lane " << l << " net " << n;
         }
       }
     }
