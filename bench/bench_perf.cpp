@@ -1,14 +1,20 @@
 // Google-benchmark microbenchmarks of the library's hot paths: STA,
-// event-driven glitch propagation, MiniSpice strike transients and the
-// hardening transform. These guard against performance regressions in the
-// kernels the table benches run thousands of times.
+// event-driven glitch propagation, MiniSpice strike transients, the
+// hardening transform and the static certifier. These guard against
+// performance regressions in the kernels the table benches run thousands
+// of times.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
+#include "analysis/certify.hpp"
 #include "bencharness/generator.hpp"
 #include "common/failpoint.hpp"
 #include "cwsp/harden.hpp"
 #include "cwsp/protection_sim.hpp"
+#include "cwsp/timing.hpp"
+#include "set/strike_plan.hpp"
 #include "sim/compiled_kernel.hpp"
 #include "sim/logic_sim.hpp"
 #include "sim/strike_lanes.hpp"
@@ -28,6 +34,14 @@ const Netlist& alu2() {
   static const bench::GeneratedBenchmark gen =
       bench::generate_benchmark(bench::find_benchmark("alu2"), library());
   return gen.netlist;
+}
+
+/// C880 with output flip-flops: the sequential design certify runs on.
+const Netlist& c880() {
+  static const Netlist netlist = bench::clone_with_output_flip_flops(
+      bench::generate_benchmark(bench::find_benchmark("C880"), library())
+          .netlist);
+  return netlist;
 }
 
 void BM_Sta(benchmark::State& state) {
@@ -225,6 +239,49 @@ void BM_ProtectionSimRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProtectionSimRun);
+
+void BM_PropagateWindows(benchmark::State& state) {
+  // The certifier's per-site window dataflow (Phase A) over every strike
+  // site of C880; items/s is sites/s. The fanout cones are memoized
+  // before timing, so this measures the dataflow alone.
+  const Netlist& netlist = c880();
+  static const auto context = sim::CompiledKernelContext::build(netlist);
+  const std::vector<NetId> sites = set::strike_sites(netlist);
+  for (const NetId site : sites) (void)context->view->cone_of(site);
+  for (auto _ : state) {
+    for (const NetId site : sites) {
+      const analysis::SiteWindows windows = analysis::propagate_windows(
+          *context->view, *context->gate_delay_ps, site);
+      benchmark::DoNotOptimize(windows.windows.data());
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sites.size()));
+}
+BENCHMARK(BM_PropagateWindows);
+
+void BM_FormatCertifyJson(benchmark::State& state) {
+  // The JSON report of a designed-envelope C880 certify run (3,600 sites,
+  // ~1.9 MB, one witness path per site), formatted from a fixed result;
+  // items/s is sites/s.
+  const Netlist& netlist = c880();
+  const auto params = core::ProtectionParams::q100();
+  static const analysis::CertifyResult result = analysis::certify_design(
+      netlist, params,
+      std::max(core::hardened_clock_period(run_sta(netlist).dmax, library()),
+               core::min_clock_period_for_delta(params)));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string json = analysis::format_certify_json(result, netlist);
+    bytes = json.size();
+    benchmark::DoNotOptimize(json.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(result.sites.size()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_FormatCertifyJson);
 
 void BM_FailpointInactive(benchmark::State& state) {
   // The disarmed failpoint gate (docs/chaos.md): with nothing configured

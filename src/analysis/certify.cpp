@@ -44,6 +44,8 @@ struct DangerFF {
   /// max(δ, electrical threshold): pulses narrower than this are proved
   /// harmless for this endpoint.
   double guard_ps = 0.0;
+  /// Slot of the D net's window in the site's SiteWindows.
+  std::uint32_t slot = 0;
 };
 
 /// A statically sensitized (state, vector, endpoint) triple to try to
@@ -451,30 +453,48 @@ CertifyResult certify_design(
   result.sites.resize(sites.size());
   const std::size_t nff = view.num_flip_flops();
 
+  // Net -> flip-flops whose D pin it drives: first_ff[net], then the
+  // next_ff chain, in ascending flip-flop index.
+  std::vector<std::uint32_t> first_ff(view.num_nets(), GlitchWindow::kNone);
+  std::vector<std::uint32_t> next_ff(nff, GlitchWindow::kNone);
+  for (std::size_t f = nff; f-- > 0;) {
+    next_ff[f] = first_ff[view.ff_d_net(f)];
+    first_ff[view.ff_d_net(f)] = static_cast<std::uint32_t>(f);
+  }
+
   // ---------------------------------------------------- Phase A: windows
   std::vector<DangerSite> danger;
+  // (flip-flop, window slot) of every D pin the site reaches.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> reached;
   for (std::size_t si = 0; si < sites.size(); ++si) {
     SiteCertificate& cert = result.sites[si];
     cert.site = sites[si];
     SiteWindows wnd = propagate_windows(view, delays, sites[si]);
 
-    bool any_reach = false;
+    reached.clear();
+    for (std::uint32_t slot = 0; slot < wnd.nets.size(); ++slot) {
+      for (std::uint32_t f = first_ff[wnd.nets[slot]];
+           f != GlitchWindow::kNone; f = next_ff[f]) {
+        reached.emplace_back(f, slot);
+      }
+    }
+    // Ascending flip-flop index: guard_min ties keep the lowest one.
+    std::sort(reached.begin(), reached.end());
+
     double guard_min = kInf;
     std::size_t guard_min_ff = 0;
     std::vector<DangerFF> dangerous;
-    for (std::size_t f = 0; f < nff; ++f) {
-      const GlitchWindow& w = wnd.at(NetId{view.ff_d_net(f)});
-      if (!w.reachable) continue;
-      any_reach = true;
-      const double guard = std::max(delta, w.width_threshold_ps);
+    for (const auto& [f, slot] : reached) {
+      const double guard =
+          std::max(delta, wnd.windows[slot].width_threshold_ps);
       if (guard < guard_min) {
         guard_min = guard;
         guard_min_ff = f;
       }
-      if (guard + kTimeEps < envelope) dangerous.push_back({f, guard});
+      if (guard + kTimeEps < envelope) dangerous.push_back({f, guard, slot});
     }
 
-    if (!any_reach) {
+    if (reached.empty()) {
       cert.verdict = SiteVerdict::kProvedCovered;
       cert.reason = CoveredReason::kNoPath;
       cert.margin_unbounded = true;
@@ -505,7 +525,7 @@ CertifyResult certify_design(
     ds.site = sites[si];
     ds.ffs = std::move(dangerous);
     for (const DangerFF& df : ds.ffs) {
-      const GlitchWindow& w = wnd.at(NetId{view.ff_d_net(df.ff)});
+      const GlitchWindow& w = wnd.windows[df.slot];
       if (w.ambiguous) {
         ds.ambiguous = true;
         if (ds.blocking_gate == GlitchWindow::kNone) {
@@ -565,7 +585,6 @@ CertifyResult certify_design(
   result.states_complete = exhaustive && !space.overflowed;
 
   const std::size_t lanes = logic.lanes();
-  const std::size_t words = logic.words_per_net();
   std::vector<DangerSite*> active;
   active.reserve(danger.size());
   for (DangerSite& ds : danger) active.push_back(&ds);
@@ -763,6 +782,12 @@ std::string net_name(const Netlist& netlist, NetId net) {
   return net.valid() ? netlist.net(net).name : std::string("?");
 }
 
+/// Appends every part (strings, string literals, chars) to `out`.
+template <typename... Parts>
+void append(std::string& out, const Parts&... parts) {
+  (out += ... += parts);
+}
+
 std::string path_text(const Netlist& netlist, const std::vector<NetId>& path) {
   std::string out;
   for (std::size_t i = 0; i < path.size(); ++i) {
@@ -844,80 +869,92 @@ std::string format_certify_text(const CertifyResult& result,
 std::string format_certify_json(const CertifyResult& result,
                                 const Netlist& netlist) {
   using lint::json_escape;
-  std::ostringstream os;
-  os << "{\"schema\":\"cwsp-certify-report-v1\",";
-  os << "\"design\":\"" << json_escape(result.design) << "\",";
-  os << "\"delta_ps\":" << num(result.params.delta.value()) << ",";
-  os << "\"envelope_ps\":" << num(result.envelope_ps) << ",";
-  os << "\"physical_envelope_ps\":" << num(result.physical_envelope_ps)
-     << ",";
-  os << "\"clock_period_ps\":" << num(result.clock_period.value()) << ",";
-  os << "\"seed\":" << result.seed << ",";
-  os << "\"counts\":{\"sites\":" << result.sites.size()
-     << ",\"covered\":" << result.covered_count()
-     << ",\"escapes\":" << result.escape_count()
-     << ",\"unknown\":" << result.unknown_count()
-     << ",\"fallback\":" << result.fallback_count() << "},";
-  os << "\"sweep\":{\"states\":" << result.swept_states
-     << ",\"states_complete\":"
-     << (result.states_complete ? "true" : "false")
-     << ",\"vectors_exhaustive\":"
-     << (result.vectors_exhaustive ? "true" : "false") << "},";
-  os << "\"sites\":[";
+  // Escaped once per report: witness paths repeat the same names.
+  std::vector<std::string> net_names(netlist.num_nets());
+  for (std::size_t n = 0; n < net_names.size(); ++n) {
+    net_names[n] = json_escape(netlist.net(NetId{n}).name);
+  }
+  std::vector<std::string> ff_names(netlist.num_flip_flops());
+  for (std::size_t f = 0; f < ff_names.size(); ++f) {
+    ff_names[f] = json_escape(netlist.flip_flop(FlipFlopId{f}).name);
+  }
+  const std::string unnamed = "?";
+  auto name_of = [&](NetId net) -> const std::string& {
+    return net.valid() ? net_names[net.index()] : unnamed;
+  };
+  auto flag = [](bool b) { return b ? "true" : "false"; };
+
+  std::size_t size = 512 + result.design.size();
+  for (const SiteCertificate& cert : result.sites) {
+    size += 256 + cert.note.size() + cert.repro_spec_path.size();
+    for (const NetId net : cert.path) size += name_of(net).size() + 3;
+  }
+  std::string out;
+  out.reserve(size);
+  append(out, "{\"schema\":\"cwsp-certify-report-v1\",\"design\":\"",
+         json_escape(result.design), "\",\"delta_ps\":",
+         num(result.params.delta.value()), ",\"envelope_ps\":",
+         num(result.envelope_ps), ",\"physical_envelope_ps\":",
+         num(result.physical_envelope_ps), ",\"clock_period_ps\":",
+         num(result.clock_period.value()), ",\"seed\":",
+         std::to_string(result.seed));
+  append(out, ",\"counts\":{\"sites\":", std::to_string(result.sites.size()),
+         ",\"covered\":", std::to_string(result.covered_count()),
+         ",\"escapes\":", std::to_string(result.escape_count()),
+         ",\"unknown\":", std::to_string(result.unknown_count()),
+         ",\"fallback\":", std::to_string(result.fallback_count()),
+         "},\"sweep\":{\"states\":", std::to_string(result.swept_states),
+         ",\"states_complete\":", flag(result.states_complete),
+         ",\"vectors_exhaustive\":", flag(result.vectors_exhaustive),
+         "},\"sites\":[");
   for (std::size_t i = 0; i < result.sites.size(); ++i) {
     const SiteCertificate& cert = result.sites[i];
-    if (i != 0) os << ",";
-    os << "{\"site\":\"" << json_escape(net_name(netlist, cert.site))
-       << "\",";
-    os << "\"verdict\":\"" << to_string(cert.verdict) << "\"";
+    if (i != 0) out += ',';
+    append(out, "{\"site\":\"", name_of(cert.site), "\",\"verdict\":\"",
+           to_string(cert.verdict), '"');
     if (cert.verdict == SiteVerdict::kProvedCovered) {
-      os << ",\"reason\":\"" << to_string(cert.reason) << "\"";
+      append(out, ",\"reason\":\"", to_string(cert.reason), '"');
       if (cert.margin_unbounded) {
-        os << ",\"margin_unbounded\":true";
+        out += ",\"margin_unbounded\":true";
       } else {
-        os << ",\"margin_ps\":" << num(cert.margin_ps);
+        append(out, ",\"margin_ps\":", num(cert.margin_ps));
       }
     }
     if (cert.limiting_ff >= 0) {
-      os << ",\"limiting_ff\":\""
-         << json_escape(
-                netlist
-                    .flip_flop(FlipFlopId{
-                        static_cast<std::uint64_t>(cert.limiting_ff)})
-                    .name)
-         << "\"";
+      append(out, ",\"limiting_ff\":\"",
+             ff_names[static_cast<std::size_t>(cert.limiting_ff)], '"');
     }
     if (!cert.path.empty()) {
-      os << ",\"path\":[";
+      out += ",\"path\":[";
       for (std::size_t p = 0; p < cert.path.size(); ++p) {
-        if (p != 0) os << ",";
-        os << "\"" << json_escape(net_name(netlist, cert.path[p])) << "\"";
+        if (p != 0) out += ',';
+        append(out, '"', name_of(cert.path[p]), '"');
       }
-      os << "]";
+      out += ']';
     }
     if (cert.verdict == SiteVerdict::kUnknown &&
         cert.blocking_gate != GlitchWindow::kNone) {
-      os << ",\"blocking_gate\":\""
-         << json_escape(netlist.gate(GateId{cert.blocking_gate}).name)
-         << "\"";
+      append(out, ",\"blocking_gate\":\"",
+             json_escape(netlist.gate(GateId{cert.blocking_gate}).name), '"');
     }
     if (cert.verdict == SiteVerdict::kProvedEscape) {
-      os << ",\"witness\":{\"cycle\":" << cert.witness_cycle
-         << ",\"start_ps\":" << num(cert.witness_start_ps)
-         << ",\"width_ps\":" << num(cert.witness_width_ps);
+      append(out, ",\"witness\":{\"cycle\":",
+             std::to_string(cert.witness_cycle), ",\"start_ps\":",
+             num(cert.witness_start_ps), ",\"width_ps\":",
+             num(cert.witness_width_ps));
       if (!cert.repro_spec_path.empty()) {
-        os << ",\"repro\":\"" << json_escape(cert.repro_spec_path) << "\"";
+        append(out, ",\"repro\":\"", json_escape(cert.repro_spec_path), '"');
       }
-      os << "}";
+      out += '}';
     }
-    os << ",\"used_fallback\":" << (cert.used_fallback ? "true" : "false");
+    append(out, ",\"used_fallback\":", flag(cert.used_fallback));
     if (!cert.note.empty()) {
-      os << ",\"note\":\"" << json_escape(cert.note) << "\"";
+      append(out, ",\"note\":\"", json_escape(cert.note), '"');
     }
-    os << "}";
+    out += '}';
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+  return out;
 }
 
 }  // namespace cwsp::analysis

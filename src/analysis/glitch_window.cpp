@@ -7,6 +7,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+std::uint32_t find_slot(const SiteWindows& site_windows, NetId net) {
+  const auto& nets = site_windows.nets;
+  const auto it = std::find(nets.begin(), nets.end(), net.index());
+  return it == nets.end() ? GlitchWindow::kNone
+                          : static_cast<std::uint32_t>(it - nets.begin());
+}
+
 }  // namespace
 
 bool pin_sensitizable(std::uint16_t truth, unsigned arity, unsigned pin,
@@ -24,17 +31,41 @@ bool pin_sensitizable(std::uint16_t truth, unsigned arity, unsigned pin,
   return false;
 }
 
+const GlitchWindow& SiteWindows::at(NetId net) const {
+  static const GlitchWindow kUnreachable{};
+  const std::uint32_t slot = find_slot(*this, net);
+  return slot == GlitchWindow::kNone ? kUnreachable : windows[slot];
+}
+
 SiteWindows propagate_windows(const FlatNetlistView& view,
                               const std::vector<double>& gate_delay_ps,
                               NetId site) {
+  const std::vector<std::uint32_t>& cone = view.cone_of(site);
+
+  // Net -> slot of its window in `result`, kNone for nets without one.
+  // Every entry set below is reset before returning, so the scratch is
+  // all kNone between calls and only ever grows to the largest netlist.
+  thread_local std::vector<std::uint32_t> slot_of;
+  if (slot_of.size() < view.num_nets()) {
+    slot_of.resize(view.num_nets(), GlitchWindow::kNone);
+  }
+
+  // Reserved up front, so nothing below can throw while `slot_of` holds
+  // entries for this call.
   SiteWindows result;
   result.site = site;
-  result.windows.assign(view.num_nets(), GlitchWindow{});
+  result.nets.reserve(cone.size() + 1);
+  result.windows.reserve(cone.size() + 1);
+  result.pred_slots.reserve(cone.size() + 1);
 
-  GlitchWindow& base = result.windows[site.index()];
+  GlitchWindow base;
   base.reachable = true;
+  result.nets.push_back(static_cast<std::uint32_t>(site.index()));
+  result.windows.push_back(base);
+  result.pred_slots.push_back(GlitchWindow::kNone);
+  slot_of[site.index()] = 0;
 
-  for (std::uint32_t g : view.cone_of(site)) {
+  for (std::uint32_t g : cone) {
     const std::uint32_t* inputs = view.gate_inputs_begin(g);
     const std::uint32_t arity = view.gate_num_inputs(g);
     const std::uint16_t truth = view.gate_truth(g);
@@ -51,16 +82,16 @@ SiteWindows propagate_windows(const FlatNetlistView& view,
       }
     }
 
-    // Reachable inputs whose pin can actually steer the output.
-    std::uint32_t reach_pins[4];
+    // Reachable inputs whose pin can actually steer the output, by slot.
+    std::uint32_t reach_slots[4];
     std::uint32_t reach_count = 0;
     for (std::uint32_t i = 0; i < arity; ++i) {
-      const GlitchWindow& in = result.windows[inputs[i]];
-      if (!in.reachable) continue;
+      const std::uint32_t slot = slot_of[inputs[i]];
+      if (slot == GlitchWindow::kNone) continue;
       if (!pin_sensitizable(truth, arity, i, const_mask, const_vals)) {
         continue;
       }
-      reach_pins[reach_count++] = i;
+      reach_slots[reach_count++] = slot;
     }
     if (reach_count == 0) continue;
 
@@ -72,7 +103,7 @@ SiteWindows propagate_windows(const FlatNetlistView& view,
     out.earliest_ps = kInf;
     out.latest_ps = -kInf;
     for (std::uint32_t k = 0; k < reach_count; ++k) {
-      const GlitchWindow& in = result.windows[inputs[reach_pins[k]]];
+      const GlitchWindow& in = result.windows[reach_slots[k]];
       out.earliest_ps = std::min(out.earliest_ps, in.earliest_ps + delay);
       out.latest_ps = std::max(out.latest_ps, in.latest_ps + delay);
       if (in.ambiguous && out.merge_gate == GlitchWindow::kNone) {
@@ -98,7 +129,7 @@ SiteWindows propagate_windows(const FlatNetlistView& view,
       double hi = -kInf;
       for (std::uint32_t k = 0; k < reach_count; ++k) {
         if (((s >> k) & 1u) == 0) continue;
-        const GlitchWindow& in = result.windows[inputs[reach_pins[k]]];
+        const GlitchWindow& in = result.windows[reach_slots[k]];
         th = std::max(th, in.width_threshold_ps);
         lo = std::min(lo, in.earliest_ps);
         hi = std::max(hi, in.latest_ps);
@@ -109,33 +140,33 @@ SiteWindows propagate_windows(const FlatNetlistView& view,
 
     // Witness-path predecessor: the reachable input with the smallest own
     // threshold (ties break towards the lowest pin for determinism).
-    std::uint32_t pred = inputs[reach_pins[0]];
-    double pred_th = result.windows[pred].width_threshold_ps;
+    std::uint32_t pred = reach_slots[0];
     for (std::uint32_t k = 1; k < reach_count; ++k) {
-      const std::uint32_t net = inputs[reach_pins[k]];
-      if (result.windows[net].width_threshold_ps < pred_th) {
-        pred = net;
-        pred_th = result.windows[net].width_threshold_ps;
+      if (result.windows[reach_slots[k]].width_threshold_ps <
+          result.windows[pred].width_threshold_ps) {
+        pred = reach_slots[k];
       }
     }
-    out.pred_net = pred;
+    out.pred_net = result.nets[pred];
 
-    result.windows[view.gate_output(g)] = out;
+    const std::uint32_t output = view.gate_output(g);
+    slot_of[output] = static_cast<std::uint32_t>(result.nets.size());
+    result.nets.push_back(output);
+    result.windows.push_back(out);
+    result.pred_slots.push_back(pred);
   }
+
+  for (std::uint32_t net : result.nets) slot_of[net] = GlitchWindow::kNone;
   return result;
 }
 
 std::vector<NetId> witness_path(const SiteWindows& site_windows,
                                 NetId endpoint) {
   std::vector<NetId> path;
-  if (!site_windows.windows[endpoint.index()].reachable) return path;
-  std::uint32_t net = endpoint.index();
-  while (true) {
-    path.push_back(NetId{net});
-    if (NetId{net} == site_windows.site) break;
-    const std::uint32_t pred = site_windows.windows[net].pred_net;
-    if (pred == GlitchWindow::kNone) break;  // defensive: broken chain
-    net = pred;
+  std::uint32_t slot = find_slot(site_windows, endpoint);
+  while (slot != GlitchWindow::kNone) {
+    path.push_back(NetId{site_windows.nets[slot]});
+    slot = site_windows.pred_slots[slot];
   }
   std::reverse(path.begin(), path.end());
   return path;

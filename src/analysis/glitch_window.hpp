@@ -61,18 +61,26 @@ struct GlitchWindow {
   [[nodiscard]] double slack_ps() const { return latest_ps - earliest_ps; }
 };
 
+/// The windows of one site, stored only for the nets the disturbance
+/// reaches (the site and the reached outputs of its cone gates), so size
+/// and cost follow the fanout cone, not the netlist.
 struct SiteWindows {
   NetId site;
-  /// Indexed by NetId; only the site and its cone are reachable.
+  /// Reached nets in topological order; nets[0] is the site.
+  std::vector<std::uint32_t> nets;
+  /// windows[i] is the window of nets[i]; every stored window is reachable.
   std::vector<GlitchWindow> windows;
+  /// Slot of windows[i].pred_net (GlitchWindow::kNone for the site).
+  std::vector<std::uint32_t> pred_slots;
 
-  [[nodiscard]] const GlitchWindow& at(NetId net) const {
-    return windows[net.index()];
-  }
+  /// The window of `net`; an unreachable GlitchWindow{} for every net
+  /// without a stored window. Linear in the stored count.
+  [[nodiscard]] const GlitchWindow& at(NetId net) const;
 };
 
 /// Runs the window dataflow for one site. `gate_delay_ps` is the STA
-/// per-gate delay vector (TimingResult::gate_delay_ps).
+/// per-gate delay vector (TimingResult::gate_delay_ps). Safe to call
+/// concurrently on one shared view.
 [[nodiscard]] SiteWindows propagate_windows(
     const FlatNetlistView& view, const std::vector<double>& gate_delay_ps,
     NetId site);

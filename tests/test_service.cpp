@@ -162,6 +162,22 @@ TEST_F(ServiceTest, StaLintCoverageMatchDirectExecution) {
             run_coverage(*session, coverage_spec).output);
 }
 
+TEST_F(ServiceTest, CertifyMatchesDirectExecution) {
+  start(2, 8);
+  const auto session = DesignSession::build("demo", kDesign, lib_);
+
+  CertifySpec spec;
+  const auto at_delta =
+      call(R"({"op":"certify",)" + json_design_field() + "}");
+  EXPECT_EQ(at_delta.text("payload", ""), run_certify(*session, spec).output);
+
+  spec.envelope_ps = 900.0;
+  const auto above_delta =
+      call(R"({"op":"certify","env_width":900,)" + json_design_field() + "}");
+  EXPECT_EQ(above_delta.text("payload", ""),
+            run_certify(*session, spec).output);
+}
+
 TEST_F(ServiceTest, RepeatRequestsHitTheResultCache) {
   start(1, 8);
   const std::string request =
