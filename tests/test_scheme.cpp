@@ -283,6 +283,99 @@ TEST(SchemeService, DefaultSpecFingerprintIsPinned) {
             0x9358f692ff3433f7ULL);
 }
 
+// One spec per fingerprinted field set off its default, at design key 42.
+// Each digest keys the result cache and the fabric's shard checks, so a
+// change to how any field is mixed (order, tag, default rule) shows here.
+
+TEST(SchemeService, CampaignFingerprintOfEveryFieldIsPinned) {
+  using Spec = service::CampaignSpec;
+  const auto fp = [](void (*edit)(Spec&)) {
+    Spec spec;
+    edit(spec);
+    return service::campaign_spec_fingerprint(spec, 42);
+  };
+  EXPECT_EQ(fp([](Spec& s) { s.runs = 7; }), 0x8c2ad2baee2d41a2ULL);
+  EXPECT_EQ(fp([](Spec& s) { s.cycles = 9; }), 0xd0dced8a0ca4e45eULL);
+  EXPECT_EQ(fp([](Spec& s) { s.width_ps = 412.5; }), 0x9ae6b170921257dfULL);
+  EXPECT_EQ(fp([](Spec& s) { s.seed = 3; }), 0x5e486b2beed97e35ULL);
+  EXPECT_EQ(fp([](Spec& s) { s.timeout_ms = 250.0; }), 0x5cb9741318dde130ULL);
+  EXPECT_EQ(fp([](Spec& s) { s.adversarial = true; }), 0xf3ff714b5c283a56ULL);
+  EXPECT_EQ(fp([](Spec& s) { s.shard_index = 2, s.shard_total = 3; }),
+            0xf50e5761a7c113b6ULL);
+  EXPECT_EQ(fp([](Spec& s) { s.json = false; }), 0x745e2f89f444e9d6ULL);
+  EXPECT_EQ(fp([](Spec& s) { s.schemes = {"tmr"}; }), 0xf46e90d59a05bd72ULL);
+  EXPECT_EQ(fp([](Spec& s) {
+              s.fault_models = {"double-set", "protection-seu"};
+            }),
+            0x6b35f55f9d38e869ULL);
+  // Execution controls never reach the report, so they are not mixed.
+  EXPECT_EQ(fp([](Spec& s) {
+              s.jobs = 4;
+              s.distribute = true;
+              s.deadline_ms = 900.0;
+            }),
+            0x9358f692ff3433f7ULL);
+}
+
+TEST(SchemeService, CoverageFingerprintOfEveryFieldIsPinned) {
+  using Spec = service::CoverageSpec;
+  const auto fp = [](void (*edit)(Spec&)) {
+    Spec spec;
+    edit(spec);
+    return service::coverage_spec_fingerprint(spec, 42);
+  };
+  EXPECT_EQ(fp([](Spec&) {}), 0xc36c9f819eebb290ULL);
+  EXPECT_EQ(fp([](Spec& s) { s.runs = 7; }), 0x9cd2e4c3d9233145ULL);
+  EXPECT_EQ(fp([](Spec& s) { s.cycles = 9; }), 0xe8f68379709760fdULL);
+  EXPECT_EQ(fp([](Spec& s) { s.width_ps = 412.5; }), 0x11a070e4be213678ULL);
+  EXPECT_EQ(fp([](Spec& s) { s.seed = 3; }), 0x10bbf1f919bf8752ULL);
+  EXPECT_EQ(fp([](Spec& s) { s.scenarios = true; }), 0xb26417cba1b52e91ULL);
+  EXPECT_EQ(fp([](Spec& s) { s.json = false; }), 0xe267668aa9dafcb1ULL);
+}
+
+TEST(SchemeService, CertifyFingerprintOfEveryFieldIsPinned) {
+  using Spec = service::CertifySpec;
+  const auto fp = [](void (*edit)(Spec&)) {
+    Spec spec;
+    edit(spec);
+    return service::certify_spec_fingerprint(spec, 42);
+  };
+  EXPECT_EQ(fp([](Spec&) {}), 0x2f7d8e7d6d286a8cULL);  // delta absent
+  EXPECT_EQ(fp([](Spec& s) { s.delta_ps = 600.0; }), 0x0199b3227dd1de5fULL);
+  EXPECT_EQ(fp([](Spec& s) { s.q150 = true; }), 0xe9ff36b2e50a292dULL);
+  EXPECT_EQ(fp([](Spec& s) { s.skew_ps = 25.0; }), 0x483ab4238eb004fdULL);
+  EXPECT_EQ(fp([](Spec& s) { s.envelope_ps = 900.0; }), 0x7d3d024602133f40ULL);
+  EXPECT_EQ(fp([](Spec& s) { s.seed = 3; }), 0xcd79ba0d93529b0eULL);
+  EXPECT_EQ(fp([](Spec& s) { s.json = false; }), 0x4e7855867817b4adULL);
+  EXPECT_EQ(fp([](Spec& s) { s.scheme = "loco"; }), 0x73abcecdc4ca05a0ULL);
+  // The default scheme spelled out is the default spec.
+  EXPECT_EQ(fp([](Spec& s) { s.scheme = "cwsp"; }), fp([](Spec&) {}));
+}
+
+TEST(SchemeService, CompareFingerprintOfEveryFieldIsPinned) {
+  using Spec = service::CompareSpec;
+  const auto fp = [](void (*edit)(Spec&)) {
+    Spec spec;
+    edit(spec);
+    return service::compare_spec_fingerprint(spec, 42);
+  };
+  EXPECT_EQ(fp([](Spec&) {}), 0x7ed96911c322fb20ULL);
+  EXPECT_EQ(fp([](Spec& s) { s.runs = 7; }), 0xe8f31755b4808dd5ULL);
+  EXPECT_EQ(fp([](Spec& s) { s.cycles = 9; }), 0xce4190050dea5709ULL);
+  EXPECT_EQ(fp([](Spec& s) { s.width_ps = 412.5; }), 0xe7a6ca62b0fe8808ULL);
+  EXPECT_EQ(fp([](Spec& s) { s.seed = 3; }), 0x898acedf090f7c22ULL);
+  EXPECT_EQ(fp([](Spec& s) { s.json = false; }), 0x9dd4301ace124541ULL);
+  // Compare mixes its name lists always: naming the registry's first
+  // entry is not the empty (every scheme) list.
+  EXPECT_EQ(fp([](Spec& s) { s.schemes = {"cwsp"}; }), 0x61255b3879cc443cULL);
+  EXPECT_EQ(fp([](Spec& s) {
+              s.schemes = {"cwsp", "tmr"};
+              s.fault_models = {"single-set", "double-set"};
+            }),
+            0x00521f34f75f8932ULL);
+  EXPECT_EQ(fp([](Spec& s) { s.jobs = 4; }), fp([](Spec&) {}));
+}
+
 TEST(SchemeService, CampaignCellsFormTheCrossProduct) {
   service::CampaignSpec spec;
   spec.schemes = {"tmr", "loco"};
