@@ -8,18 +8,12 @@
 #include <sstream>
 
 #include "common/failpoint.hpp"
+#include "common/fnv.hpp"
 
 namespace cwsp::campaign {
 namespace {
 
 constexpr char kHeaderLine[] = "# cwsp-campaign-journal v1";
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (8 * byte)) & 0xffULL;
-    h *= 1099511628211ULL;
-  }
-}
 
 std::string escape_text(const std::string& text) {
   std::string out;
@@ -171,11 +165,11 @@ std::uint64_t campaign_fingerprint(const set::StrikePlan& plan,
                                    std::uint64_t seed,
                                    std::size_t cycles_per_run,
                                    Picoseconds clock_period) {
-  std::uint64_t h = 1469598103934665603ULL;
-  fnv_mix(h, seed);
-  fnv_mix(h, cycles_per_run);
-  fnv_mix(h, std::bit_cast<std::uint64_t>(clock_period.value()));
-  fnv_mix(h, set::plan_fingerprint(plan));
+  std::uint64_t h = fnv::kOffsetBasis;
+  fnv::mix(h, seed);
+  fnv::mix(h, cycles_per_run);
+  fnv::mix(h, std::bit_cast<std::uint64_t>(clock_period.value()));
+  fnv::mix(h, set::plan_fingerprint(plan));
   return h;
 }
 

@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/metrics.hpp"
 
 namespace cwsp::failpoint {
@@ -16,15 +17,6 @@ std::atomic<bool> g_armed{false};
 }  // namespace detail
 
 namespace {
-
-std::uint64_t fnv64(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 double parse_number(const std::string& text, const std::string& entry) {
   std::size_t used = 0;
@@ -158,7 +150,9 @@ void Registry::configure(const std::string& spec, std::uint64_t seed) {
                        entry + "'");
     }
 
-    point.rng = Rng::stream(seed, fnv64(name));
+    std::uint64_t name_hash = fnv::kOffsetBasis;
+    fnv::mix_bytes(name_hash, name);
+    point.rng = Rng::stream(seed, name_hash);
     staged.emplace_back(name, std::move(point));
   }
 

@@ -4,11 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <thread>
 #include <unordered_map>
 
@@ -20,6 +18,7 @@
 #include "common/metrics.hpp"
 #include "common/stopwatch.hpp"
 #include "service/json.hpp"
+#include "service/spec_codec.hpp"
 #include "sim/cancel.hpp"
 
 namespace cwsp::fabric {
@@ -29,20 +28,6 @@ using campaign::StrikeResult;
 using service::Client;
 
 enum class ShardState : std::uint8_t { kPending, kLeased, kDone };
-
-std::string hex64(std::uint64_t v) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%llx",
-                static_cast<unsigned long long>(v));
-  return buffer;
-}
-
-/// Round-trip-exact double formatting for the request line.
-std::string num17(double v) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
 
 /// Liveness and failure accounting for one worker endpoint. `evicted`
 /// and `failures` are shared between the worker's agent thread and the
@@ -101,8 +86,9 @@ void fabric_log(const FabricOptions& options, const std::string& message) {
 }
 
 /// Builds the shard_exec request line for shard `s` (1-based on the
-/// wire). The design text travels inline so workers need no shared
-/// filesystem.
+/// wire). The spec fields come from the spec codec's encoder, the one
+/// mapping the worker's decoder inverts. The design text travels inline so
+/// workers need no shared filesystem.
 std::string shard_request(const service::DesignSession& session,
                           const std::string& design_text,
                           const service::CampaignSpec& spec,
@@ -110,36 +96,24 @@ std::string shard_request(const service::DesignSession& session,
                           const PlanContext& ctx, std::size_t s,
                           double deadline_ms) {
   namespace json = service::json;
-  const std::size_t jobs =
-      options.worker_jobs != 0 ? options.worker_jobs : spec.jobs;
-  std::ostringstream os;
-  os << "{\"id\":\"shard-" << s << "\",\"op\":\"shard_exec\""
-     << ",\"design\":\"" << json::escape(design_text) << '"'
-     << ",\"design_name\":\"" << json::escape(session.name) << '"'
-     << ",\"runs\":" << spec.runs << ",\"cycles\":" << spec.cycles
-     << ",\"width\":" << num17(spec.width_ps) << ",\"seed\":" << spec.seed
-     << ",\"jobs\":" << std::max<std::size_t>(1, jobs)
-     << (spec.adversarial ? ",\"adversarial\":true" : "");
-  // Scheme/model travel only off the defaults, mirroring the flag-style
-  // fields above (a default-cell request is byte-identical to one from a
-  // pre-registry coordinator).
-  if (!spec.schemes.empty() && spec.schemes.front() != "cwsp") {
-    os << ",\"scheme\":\"" << json::escape(spec.schemes.front()) << '"';
-  }
-  if (!spec.fault_models.empty() && spec.fault_models.front() != "single-set") {
-    os << ",\"fault_model\":\"" << json::escape(spec.fault_models.front())
-       << '"';
-  }
+  // Only what the worker executes travels: its own output format and
+  // fabric role are not the coordinator's.
+  service::CampaignSpec wire = spec;
+  wire.json = true;
+  wire.distribute = false;
+  wire.deadline_ms = deadline_ms;
+  wire.shard_index = s + 1;
+  wire.shard_total = ctx.shards.size();
+  std::string line = "{\"id\":\"shard-" + std::to_string(s) +
+                     "\",\"op\":\"shard_exec\"" + service::encode(wire) +
+                     ",\"design\":\"" + json::escape(design_text) +
+                     "\",\"design_name\":\"" + json::escape(session.name) +
+                     '"';
   if (!options.auth_token.empty()) {
-    os << ",\"auth\":\"" << json::escape(options.auth_token) << '"';
+    line += ",\"auth\":\"" + json::escape(options.auth_token) + '"';
   }
-  if (deadline_ms > 0.0) {
-    os << ",\"deadline_ms\":" << num17(deadline_ms);
-  }
-  os << ",\"shard_index\":" << (s + 1)
-     << ",\"shard_total\":" << ctx.shards.size() << ",\"expect_fp\":\""
-     << hex64(ctx.shard_fp[s]) << "\"}";
-  return os.str();
+  return line + ",\"expect_fp\":\"" +
+         service::fingerprint_hex(ctx.shard_fp[s]) + "\"}";
 }
 
 /// Parses and validates a worker's shard_exec response payload against
@@ -679,12 +653,8 @@ FabricOutcome run_distributed_campaign(const service::DesignSession& session,
                             " shard(s) locally (fallback)");
     const campaign::CampaignEngine engine(netlist, params, period,
                                           session.kernel_context);
-    campaign::EngineOptions engine_options;
-    engine_options.seed = spec.seed;
-    engine_options.cycles_per_run = spec.cycles;
-    engine_options.jobs = std::max<std::size_t>(1, spec.jobs);
-    engine_options.scheme = cell.scheme;
-    engine_options.fault_model = cell.model->name();
+    campaign::EngineOptions engine_options =
+        service::campaign_engine_options(spec, cell, nullptr);
     sim::CancelToken budget_token;
     if (dispatch.deadline != Stopwatch::Clock::time_point::max()) {
       budget_token.set_deadline(dispatch.deadline);
@@ -725,9 +695,8 @@ FabricOutcome run_distributed_campaign(const service::DesignSession& session,
                         ? merged.report.runs - resumed_strikes
                         : 0;
 
-  campaign::EngineOptions format_options;
-  format_options.seed = spec.seed;
-  format_options.cycles_per_run = spec.cycles;
+  const campaign::EngineOptions format_options =
+      service::campaign_engine_options(spec, cell, nullptr);
 
   FabricOutcome outcome;
   outcome.outcome.status = campaign::campaign_status(merged);

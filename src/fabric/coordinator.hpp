@@ -72,8 +72,6 @@ struct FabricOptions {
   /// deterministic coordinator-crash rehearsal, mirroring the engine's
   /// stop_after. With a journal, a resumed run completes the campaign.
   std::size_t stop_after_shards = 0;
-  /// `jobs` forwarded to each worker's shard execution (0 = the spec's).
-  std::size_t worker_jobs = 0;
   /// Shared secret sent as the `auth` field of every worker request
   /// (shard_exec dispatches). Empty sends nothing. Workers listening
   /// with `--auth-token` reject unauthenticated work requests.

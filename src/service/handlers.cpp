@@ -1,7 +1,6 @@
 #include "service/handlers.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -25,32 +24,6 @@
 namespace cwsp::service {
 namespace {
 
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (8 * byte)) & 0xffULL;
-    h *= 1099511628211ULL;
-  }
-}
-
-void fnv_mix_str(std::uint64_t& h, std::string_view s) {
-  fnv_mix(h, s.size());
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-}
-
-// A spec whose scheme/model lists denote the registry defaults must
-// fingerprint identically to a pre-registry spec (empty lists), so
-// cached/coalesced identities survive the upgrade.
-bool is_default_schemes(const std::vector<std::string>& names) {
-  return names.empty() || (names.size() == 1 && names.front() == "cwsp");
-}
-bool is_default_models(const std::vector<std::string>& names) {
-  return names.empty() ||
-         (names.size() == 1 && names.front() == "single-set");
-}
-
 std::string num(double v) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.3f", v);
@@ -67,38 +40,6 @@ core::ProtectionParams lint_params(const LintSpec& spec) {
 }
 
 }  // namespace
-
-std::uint64_t campaign_spec_fingerprint(const CampaignSpec& spec,
-                                        std::uint64_t design_key) {
-  std::uint64_t h = 1469598103934665603ULL;
-  fnv_mix(h, design_key);
-  fnv_mix(h, 0xca3b);  // op tag: campaign
-  fnv_mix(h, spec.runs);
-  fnv_mix(h, spec.cycles);
-  fnv_mix(h, std::bit_cast<std::uint64_t>(spec.width_ps));
-  fnv_mix(h, spec.seed);
-  fnv_mix(h, std::bit_cast<std::uint64_t>(spec.timeout_ms));
-  fnv_mix(h, spec.adversarial ? 1 : 0);
-  // Slot of a retired kernel-selection flag, kept constant so existing
-  // campaign fingerprints (result cache, fabric shard checks) stay valid.
-  fnv_mix(h, 0);
-  fnv_mix(h, spec.shard_index);
-  fnv_mix(h, spec.shard_total);
-  fnv_mix(h, spec.json ? 1 : 0);
-  if (!is_default_schemes(spec.schemes)) {
-    fnv_mix(h, 0x5c4e);  // field tag: non-default scheme list
-    fnv_mix(h, spec.schemes.size());
-    for (const std::string& name : spec.schemes) fnv_mix_str(h, name);
-  }
-  if (!is_default_models(spec.fault_models)) {
-    fnv_mix(h, 0xfa07);  // field tag: non-default fault-model list
-    fnv_mix(h, spec.fault_models.size());
-    for (const std::string& name : spec.fault_models) fnv_mix_str(h, name);
-  }
-  // jobs is deliberately excluded: reports are byte-identical for any
-  // worker count, so requests differing only in jobs coalesce.
-  return h;
-}
 
 std::vector<CampaignCell> campaign_cells(const CampaignSpec& spec) {
   std::vector<const scheme::ProtectionScheme*> schemes;
@@ -155,6 +96,20 @@ set::StrikePlanOptions campaign_plan_options(
   return plan_options;
 }
 
+campaign::EngineOptions campaign_engine_options(
+    const CampaignSpec& spec, const CampaignCell& cell,
+    const sim::CancelToken* cancel) {
+  campaign::EngineOptions engine_options;
+  engine_options.seed = spec.seed;
+  engine_options.cycles_per_run = spec.cycles;
+  engine_options.jobs = std::max<std::size_t>(1, spec.jobs);
+  engine_options.timeout_ms = spec.timeout_ms;
+  engine_options.cancel = cancel;
+  engine_options.scheme = cell.scheme;
+  engine_options.fault_model = cell.model->name();
+  return engine_options;
+}
+
 namespace {
 
 CampaignOutcome run_campaign_cell(const DesignSession& session,
@@ -170,19 +125,13 @@ CampaignOutcome run_campaign_cell(const DesignSession& session,
   const set::StrikePlanOptions plan_options =
       campaign_plan_options(spec, params, period);
 
-  campaign::EngineOptions engine_options;
-  engine_options.seed = spec.seed;
-  engine_options.cycles_per_run = spec.cycles;
-  engine_options.jobs = std::max<std::size_t>(1, spec.jobs);
-  engine_options.timeout_ms = spec.timeout_ms;
+  campaign::EngineOptions engine_options =
+      campaign_engine_options(spec, cell, cancel);
   engine_options.journal_path = spec.journal_path;
   engine_options.resume = spec.resume;
   engine_options.minimize_escapes = spec.minimize_escapes;
   engine_options.artifact_dir = spec.artifact_dir;
   engine_options.stop_after = spec.stop_after;
-  engine_options.cancel = cancel;
-  engine_options.scheme = cell.scheme;
-  engine_options.fault_model = cell.model->name();
 
   set::StrikePlan plan =
       cell.model->build_plan(netlist, plan_options, engine_options.seed);
@@ -328,17 +277,10 @@ ShardExecOutcome run_shard_exec(const DesignSession& session,
     throw ShardMismatchError(os.str());
   }
 
-  campaign::EngineOptions engine_options;
-  engine_options.seed = spec.seed;
-  engine_options.cycles_per_run = spec.cycles;
-  engine_options.jobs = std::max<std::size_t>(1, spec.jobs);
-  engine_options.cancel = cancel;
-  engine_options.scheme = cell.scheme;
-  engine_options.fault_model = cell.model->name();
-
   const campaign::CampaignEngine engine(netlist, params, period,
                                         session.kernel_context);
-  const campaign::CampaignResult result = engine.run(shard, engine_options);
+  const campaign::CampaignResult result =
+      engine.run(shard, campaign_engine_options(spec, cell, cancel));
 
   ShardExecOutcome outcome;
   outcome.shard_fingerprint = shard_fp;
@@ -359,20 +301,6 @@ std::string run_sta_report(const DesignSession& session) {
      << stats.num_flip_flops << ", area " << stats.total_area.value()
      << " um^2\n";
   return os.str();
-}
-
-std::uint64_t coverage_spec_fingerprint(const CoverageSpec& spec,
-                                        std::uint64_t design_key) {
-  std::uint64_t h = 1469598103934665603ULL;
-  fnv_mix(h, design_key);
-  fnv_mix(h, 0xc0fe);  // op tag: coverage
-  fnv_mix(h, spec.runs);
-  fnv_mix(h, spec.cycles);
-  fnv_mix(h, std::bit_cast<std::uint64_t>(spec.width_ps));
-  fnv_mix(h, spec.seed);
-  fnv_mix(h, spec.scenarios ? 1 : 0);
-  fnv_mix(h, spec.json ? 1 : 0);
-  return h;
 }
 
 CoverageOutcome run_coverage(const DesignSession& session,
@@ -433,25 +361,6 @@ CoverageOutcome run_coverage(const DesignSession& session,
   }
   outcome.output = os.str();
   return outcome;
-}
-
-std::uint64_t certify_spec_fingerprint(const CertifySpec& spec,
-                                       std::uint64_t design_key) {
-  std::uint64_t h = 1469598103934665603ULL;
-  fnv_mix(h, design_key);
-  fnv_mix(h, 0xce47);  // op tag: certify
-  fnv_mix(h, spec.q150 ? 1 : 0);
-  fnv_mix(h, spec.delta_ps.has_value() ? 1 : 0);
-  fnv_mix(h, std::bit_cast<std::uint64_t>(spec.delta_ps.value_or(0.0)));
-  fnv_mix(h, std::bit_cast<std::uint64_t>(spec.skew_ps));
-  fnv_mix(h, std::bit_cast<std::uint64_t>(spec.envelope_ps));
-  fnv_mix(h, spec.seed);
-  fnv_mix(h, spec.json ? 1 : 0);
-  if (!spec.scheme.empty() && spec.scheme != "cwsp") {
-    fnv_mix(h, 0x5c4f);  // field tag: non-default certify scheme
-    fnv_mix_str(h, spec.scheme);
-  }
-  return h;
 }
 
 CertifyOutcome run_certify(const DesignSession& session,
@@ -525,24 +434,6 @@ CertifyOutcome run_certify(const DesignSession& session,
                        ? analysis::format_certify_json(result, netlist) + "\n"
                        : analysis::format_certify_text(result, netlist);
   return outcome;
-}
-
-std::uint64_t compare_spec_fingerprint(const CompareSpec& spec,
-                                       std::uint64_t design_key) {
-  std::uint64_t h = 1469598103934665603ULL;
-  fnv_mix(h, design_key);
-  fnv_mix(h, 0xc04a);  // op tag: compare
-  fnv_mix(h, spec.runs);
-  fnv_mix(h, spec.cycles);
-  fnv_mix(h, std::bit_cast<std::uint64_t>(spec.width_ps));
-  fnv_mix(h, spec.seed);
-  fnv_mix(h, spec.schemes.size());
-  for (const std::string& name : spec.schemes) fnv_mix_str(h, name);
-  fnv_mix(h, spec.fault_models.size());
-  for (const std::string& name : spec.fault_models) fnv_mix_str(h, name);
-  fnv_mix(h, spec.json ? 1 : 0);
-  // jobs excluded for the same reason as campaign specs.
-  return h;
 }
 
 CompareOutcome run_compare(const DesignSession& session,

@@ -4,10 +4,10 @@
 // Byte-identical output between `cwsp_tool campaign --json` and a service
 // `campaign` request is a hard contract (it is what lets the service
 // batch and cache results at all), so there is exactly ONE code path that
-// turns a validated request spec into a report: the CLI front end maps
-// argv onto these specs and the server maps JSON requests onto them, and
-// both call the same run_* functions below. Anything execution-dependent
-// (worker counts, cache state, wall-clock) never reaches the output.
+// turns a validated request spec into a report: the spec codec decodes
+// argv and JSON requests onto these specs, and both surfaces call the
+// same run_* functions below. Anything execution-dependent (worker
+// counts, cache state, wall-clock) never reaches the output.
 
 #include <cstdint>
 #include <optional>
@@ -41,15 +41,10 @@ struct CampaignSpec {
   bool json = true;
   /// Fan the campaign out across registered fabric workers (server-side
   /// only; ignored — i.e. executed locally — when the serving process has
-  /// no fabric hook or no live workers). Deliberately excluded from the
-  /// fingerprint: the distributed report is byte-identical to the local
-  /// one, so the two coalesce.
+  /// no fabric hook or no live workers).
   bool distribute = false;
-  /// Wall-clock budget admitted at the service boundary, ms (0 = none).
-  /// Execution control, not report content: excluded from the
-  /// fingerprint (deadline-carrying jobs never coalesce anyway — the
-  /// server zeroes their batch key) and forwarded to the fabric so
-  /// shard dispatches carry the remaining budget.
+  /// Wall-clock budget admitted at the service boundary, ms (0 = none),
+  /// forwarded to the fabric so shard dispatches carry what remains.
   double deadline_ms = 0.0;
   /// Protection schemes / fault models to campaign (registry names).
   /// Empty means the defaults (cwsp, single-set). More than one name in
@@ -58,17 +53,20 @@ struct CampaignSpec {
   std::vector<std::string> schemes;
   std::vector<std::string> fault_models;
 
-  // One-shot-only extras (never set by the server; a request carrying
-  // them is rejected because they name local files of the *client*).
+  // One-shot CLI extras: they name client-local state, so the service
+  // rejects them.
   std::string journal_path;
   bool resume = false;
   bool minimize_escapes = false;
   std::string artifact_dir;
   std::size_t stop_after = 0;
+
+  bool operator==(const CampaignSpec&) const = default;
 };
 
 /// Digest of every spec field that influences the report, plus the design
-/// key — the coalescing/result-cache identity of a campaign request.
+/// key — the coalescing/result-cache identity of a campaign request. The
+/// spec codec's field lists define all four *_spec_fingerprint functions.
 [[nodiscard]] std::uint64_t campaign_spec_fingerprint(
     const CampaignSpec& spec, std::uint64_t design_key);
 
@@ -105,6 +103,13 @@ struct CampaignOutcome {
 [[nodiscard]] set::StrikePlanOptions campaign_plan_options(
     const CampaignSpec& spec, const core::ProtectionParams& params,
     Picoseconds clock_period);
+
+/// The engine configuration a campaign spec denotes for one cell, derived
+/// here for every execution path as campaign_plan_options is. The one-shot
+/// extras (journal, resume, minimize, ...) are left to the one caller.
+[[nodiscard]] campaign::EngineOptions campaign_engine_options(
+    const CampaignSpec& spec, const CampaignCell& cell,
+    const sim::CancelToken* cancel);
 
 /// A shard_exec request whose rebuilt shard does not match the
 /// coordinator's expected fingerprint — configuration divergence between
@@ -148,6 +153,8 @@ struct CoverageSpec {
   /// Sweep the §3.2 scenario classes instead of random functional strikes.
   bool scenarios = false;
   bool json = true;
+
+  bool operator==(const CoverageSpec&) const = default;
 };
 
 [[nodiscard]] std::uint64_t coverage_spec_fingerprint(
@@ -179,6 +186,8 @@ struct CertifySpec {
   // One-shot-only extra (client-local output directory; rejected by the
   // server for the same reason as campaign artifact dirs).
   std::string artifact_dir;
+
+  bool operator==(const CertifySpec&) const = default;
 };
 
 [[nodiscard]] std::uint64_t certify_spec_fingerprint(
@@ -208,6 +217,8 @@ struct CompareSpec {
   std::vector<std::string> schemes;
   std::vector<std::string> fault_models;
   bool json = true;
+
+  bool operator==(const CompareSpec&) const = default;
 };
 
 [[nodiscard]] std::uint64_t compare_spec_fingerprint(
@@ -257,6 +268,8 @@ struct LintSpec {
   // record the current diagnostics; present → suppress matches and fail
   // only on new ones (docs/lint.md).
   std::string baseline_path;
+
+  bool operator==(const LintSpec&) const = default;
 };
 
 struct LintOutcome {

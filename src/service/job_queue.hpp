@@ -50,7 +50,6 @@ struct Job {
   /// up front so workers never touch the filesystem mid-job).
   std::string design_name;
   std::string design_text;
-  std::string design_path;  // empty for inline designs
   /// Client deadline budget, ms (0 = none). Deadline-carrying jobs never
   /// coalesce (their outcome is wall-clock dependent).
   double deadline_ms = 0.0;

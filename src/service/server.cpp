@@ -7,8 +7,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -20,6 +18,7 @@
 #include "service/client.hpp"
 #include "service/handlers.hpp"
 #include "service/net.hpp"
+#include "service/spec_codec.hpp"
 
 namespace cwsp::service {
 namespace {
@@ -36,62 +35,15 @@ int priority_of(const json::Value& request) {
   throw ParseError("unknown priority '" + p + "'");
 }
 
-bool wants_json(const json::Value& request) {
-  const std::string format = request.text("format", "json");
-  if (format == "json") return true;
-  if (format == "text") return false;
-  throw ParseError("unknown format '" + format + "' (json|text)");
-}
-
-// ---- numeric admission ---------------------------------------------
-// Request numbers arrive as untrusted doubles; casting them straight to
-// unsigned types makes {"runs":-1} or NaN undefined behavior and huge
-// values a trivial resource-exhaustion vector. Every numeric field is
-// therefore bounds-checked here, at admission, before any cast.
-
-/// Caps generous enough for real workloads, tight enough that one
-/// request cannot pin the daemon.
-constexpr std::uint64_t kMaxRuns = 10'000'000;
-constexpr std::uint64_t kMaxCycles = 1'000'000;
-constexpr std::uint64_t kMaxJobs = 64;
-constexpr std::uint64_t kMaxShardTotal = 1'000'000;
-constexpr std::uint64_t kMaxSeed = 1ULL << 53;  // exact in a double
-constexpr double kMaxPs = 1e9;                  // width / skew horizon
-constexpr double kMaxTimeoutMs = 1e9;
+/// Longest a diagnostic `sleep` may occupy a worker.
 constexpr double kMaxSleepMs = 60'000.0;
-
-double finite_field(const json::Value& request, const char* name,
-                    double fallback, double lo, double hi) {
-  const double v = request.number(name, fallback);
-  if (!std::isfinite(v) || v < lo || v > hi) {
-    std::ostringstream os;
-    os << "'" << name << "' must be a finite number in [" << lo << ", "
-       << hi << "]";
-    throw ParseError(os.str());
-  }
-  return v;
-}
-
-std::uint64_t uint_field(const json::Value& request, const char* name,
-                         std::uint64_t fallback, std::uint64_t max) {
-  const double v = request.number(name, static_cast<double>(fallback));
-  if (!std::isfinite(v) || v < 0.0 || v != std::floor(v) ||
-      v > static_cast<double>(max)) {
-    throw ParseError(std::string("'") + name +
-                     "' must be a non-negative integer <= " +
-                     std::to_string(max));
-  }
-  return static_cast<std::uint64_t>(v);
-}
 
 /// Fills the job's design fields from `design_path` / `design` (+
 /// optional `design_name`). Throws ParseError when absent or unreadable.
-void resolve_design(const json::Value& request, Job& job,
-                    std::string& design_path) {
+void resolve_design(const json::Value& request, Job& job) {
   if (const json::Value* path = request.find("design_path")) {
-    design_path = path->as_string();
-    job.design_name = design_name_from_path(design_path);
-    job.design_text = read_design_file(design_path);
+    job.design_name = design_name_from_path(path->as_string());
+    job.design_text = read_design_file(path->as_string());
     return;
   }
   if (const json::Value* text = request.find("design")) {
@@ -100,54 +52,6 @@ void resolve_design(const json::Value& request, Job& job,
     return;
   }
   throw ParseError("request needs 'design_path' or inline 'design' text");
-}
-
-/// Splits a comma-separated name list ("tmr,loco" → {"tmr", "loco"});
-/// empty items are dropped, so "" yields the empty (default) list.
-std::vector<std::string> split_name_list(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) comma = text.size();
-    if (comma > start) out.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
-CampaignSpec parse_campaign_spec(const json::Value& request) {
-  for (const char* forbidden :
-       {"journal", "resume", "minimize", "artifacts", "stop_after"}) {
-    if (request.find(forbidden) != nullptr) {
-      throw ParseError(std::string("'") + forbidden +
-                       "' is a one-shot CLI option, not a service field");
-    }
-  }
-  CampaignSpec spec;
-  spec.runs = static_cast<std::size_t>(uint_field(request, "runs", 50, kMaxRuns));
-  spec.cycles =
-      static_cast<std::size_t>(uint_field(request, "cycles", 16, kMaxCycles));
-  spec.width_ps = finite_field(request, "width", 400.0, 0.0, kMaxPs);
-  spec.seed = uint_field(request, "seed", 1, kMaxSeed);
-  spec.jobs = std::max<std::size_t>(
-      1, static_cast<std::size_t>(uint_field(request, "jobs", 1, kMaxJobs)));
-  spec.timeout_ms = finite_field(request, "timeout_ms", 0.0, 0.0, kMaxTimeoutMs);
-  spec.adversarial = request.boolean("adversarial", false);
-  spec.shard_index = static_cast<std::size_t>(
-      uint_field(request, "shard_index", 0, kMaxShardTotal));
-  spec.shard_total = static_cast<std::size_t>(
-      uint_field(request, "shard_total", 0, kMaxShardTotal));
-  if ((spec.shard_index == 0) != (spec.shard_total == 0)) {
-    throw ParseError("shard_index and shard_total must be given together");
-  }
-  spec.distribute = request.boolean("distribute", false);
-  spec.deadline_ms =
-      finite_field(request, "deadline_ms", 0.0, 0.0, kMaxTimeoutMs);
-  spec.schemes = split_name_list(request.text("scheme", ""));
-  spec.fault_models = split_name_list(request.text("fault_model", ""));
-  spec.json = wants_json(request);
-  return spec;
 }
 
 /// Shared-secret comparison that does not leak the mismatch position
@@ -177,119 +81,6 @@ std::optional<std::uint64_t> parse_expect_fp(const json::Value& request) {
   } catch (const std::exception&) {
     throw ParseError("'expect_fp' must be a hex fingerprint");
   }
-}
-
-std::uint64_t shard_exec_fingerprint(const CampaignSpec& spec,
-                                     std::uint64_t design_key_v) {
-  std::uint64_t h = campaign_spec_fingerprint(spec, design_key_v);
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (std::uint64_t{0x5a4d} >> (8 * byte)) & 0xffULL;  // op tag
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-CoverageSpec parse_coverage_spec(const json::Value& request) {
-  CoverageSpec spec;
-  spec.runs = static_cast<std::size_t>(uint_field(request, "runs", 50, kMaxRuns));
-  spec.cycles =
-      static_cast<std::size_t>(uint_field(request, "cycles", 20, kMaxCycles));
-  spec.width_ps = finite_field(request, "width", 400.0, 0.0, kMaxPs);
-  spec.seed = uint_field(request, "seed", 1, kMaxSeed);
-  spec.scenarios = request.boolean("scenarios", false);
-  spec.json = wants_json(request);
-  return spec;
-}
-
-CertifySpec parse_certify_spec(const json::Value& request) {
-  if (request.find("artifacts") != nullptr) {
-    throw ParseError(
-        "'artifacts' is a one-shot CLI option, not a service field");
-  }
-  CertifySpec spec;
-  spec.q150 = request.boolean("q150", false);
-  if (request.find("delta") != nullptr) {
-    spec.delta_ps = finite_field(request, "delta", 0.0, 0.0, kMaxPs);
-  }
-  spec.skew_ps = finite_field(request, "skew", 0.0, 0.0, kMaxPs);
-  spec.envelope_ps = finite_field(request, "env_width", 0.0, 0.0, kMaxPs);
-  spec.seed = uint_field(request, "seed", 1, kMaxSeed);
-  spec.scheme = request.text("scheme", "");
-  spec.json = wants_json(request);
-  return spec;
-}
-
-CompareSpec parse_compare_spec(const json::Value& request) {
-  CompareSpec spec;
-  spec.runs = static_cast<std::size_t>(uint_field(request, "runs", 50, kMaxRuns));
-  spec.cycles =
-      static_cast<std::size_t>(uint_field(request, "cycles", 16, kMaxCycles));
-  spec.width_ps = finite_field(request, "width", 400.0, 0.0, kMaxPs);
-  spec.seed = uint_field(request, "seed", 1, kMaxSeed);
-  spec.jobs = std::max<std::size_t>(
-      1, static_cast<std::size_t>(uint_field(request, "jobs", 1, kMaxJobs)));
-  spec.schemes = split_name_list(request.text("scheme", ""));
-  spec.fault_models = split_name_list(request.text("fault_model", ""));
-  spec.json = wants_json(request);
-  return spec;
-}
-
-LintSpec parse_lint_spec(const Job& job, const std::string& design_path,
-                         const json::Value& request) {
-  if (request.find("baseline") != nullptr) {
-    throw ParseError(
-        "'baseline' is a one-shot CLI option, not a service field");
-  }
-  LintSpec spec;
-  if (!design_path.empty()) {
-    spec.path = design_path;
-  } else {
-    spec.text = job.design_text;
-    spec.name = job.design_name;
-  }
-  spec.hardened = request.boolean("hardened", false);
-  spec.q150 = request.boolean("q150", false);
-  if (request.find("delta") != nullptr) {
-    spec.delta_ps = finite_field(request, "delta", 0.0, 0.0, kMaxPs);
-  }
-  spec.skew_ps = finite_field(request, "skew", 0.0, 0.0, kMaxPs);
-  if (request.find("period") != nullptr) {
-    spec.period_ps = finite_field(request, "period", 0.0, 0.0, kMaxPs);
-  }
-  if (const json::Value* cells = request.find("fallback_cells")) {
-    for (const json::Value& cell : cells->as_array()) {
-      spec.fallback_cells.push_back(cell.as_string());
-    }
-  }
-  spec.json = wants_json(request);
-  const std::string fail_on = request.text("fail_on", "error");
-  if (fail_on == "warn") {
-    spec.fail_threshold = lint::Severity::kWarning;
-  } else if (fail_on == "error") {
-    spec.fail_threshold = lint::Severity::kError;
-  } else {
-    throw ParseError("fail_on expects 'warn' or 'error'");
-  }
-  spec.certify = request.boolean("certify", false);
-  if (spec.certify && !spec.hardened) {
-    throw ParseError("'certify' requires 'hardened'");
-  }
-  spec.certify_envelope_ps =
-      finite_field(request, "env_width", 0.0, 0.0, kMaxPs);
-  spec.certify_seed = uint_field(request, "certify_seed", 1, kMaxSeed);
-  spec.scheme = request.text("scheme", "");
-  return spec;
-}
-
-std::uint64_t sta_fingerprint(std::uint64_t design_key_v) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::uint64_t v : {design_key_v, std::uint64_t{0x57a}}) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xffULL;
-      h *= 1099511628211ULL;
-    }
-  }
-  return h;
 }
 
 // ---- response envelopes --------------------------------------------
@@ -657,7 +448,8 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
       if (request.boolean("clear", false)) failpoints.clear();
       const std::string spec = request.text("spec", "");
       if (!spec.empty()) {
-        failpoints.configure(spec, uint_field(request, "seed", 1, kMaxSeed));
+        failpoints.configure(
+            spec, bounded<std::uint64_t>(request, "seed", 1, 0, kMaxSeed));
       }
       send_line(conn, "{\"id\":\"" + json::escape(id) + '"' +
                           ok_tail(op, "json", failpoints.to_json() + "\n",
@@ -720,10 +512,10 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     job.op = op;
     job.request = request;
     if (op != "sleep") {
-      resolve_design(request, job, job.design_path);
+      resolve_design(request, job);
       const std::uint64_t dkey = design_key(job.design_name, job.design_text);
       if (op == "campaign") {
-        const CampaignSpec spec = parse_campaign_spec(request);
+        const auto spec = decode<CampaignSpec>(request);
         // A timed campaign may legitimately stop early ("interrupted"),
         // which makes its report wall-clock dependent — it is not a
         // deterministic function of the spec, so it must be neither
@@ -732,7 +524,7 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
                             ? 0
                             : campaign_spec_fingerprint(spec, dkey);
       } else if (op == "shard_exec") {
-        const CampaignSpec spec = parse_campaign_spec(request);
+        const auto spec = decode<CampaignSpec>(request);
         if (spec.shard_total == 0) {
           throw ParseError("shard_exec needs shard_index and shard_total");
         }
@@ -743,17 +535,17 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
         job.batch_key = shard_exec_fingerprint(spec, dkey);
       } else if (op == "coverage") {
         job.batch_key =
-            coverage_spec_fingerprint(parse_coverage_spec(request), dkey);
+            coverage_spec_fingerprint(decode<CoverageSpec>(request), dkey);
       } else if (op == "sta") {
         job.batch_key = sta_fingerprint(dkey);
       } else if (op == "certify") {
         job.batch_key =
-            certify_spec_fingerprint(parse_certify_spec(request), dkey);
+            certify_spec_fingerprint(decode<CertifySpec>(request), dkey);
       } else if (op == "compare") {
         job.batch_key =
-            compare_spec_fingerprint(parse_compare_spec(request), dkey);
+            compare_spec_fingerprint(decode<CompareSpec>(request), dkey);
       } else {
-        parse_lint_spec(job, job.design_path, request);  // validate only
+        (void)decode<LintSpec>(request);  // validate only
       }
     }
 
@@ -764,7 +556,7 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     // admission with a typed `overloaded` instead of burning a worker on
     // a response the client has already written off.
     const double deadline_ms =
-        finite_field(request, "deadline_ms", 0.0, 0.0, kMaxTimeoutMs);
+        bounded(request, "deadline_ms", 0.0, 0.0, kMaxTimeoutMs);
     if (deadline_ms > 0.0) {
       constexpr std::uint64_t kMinShedSamples = 16;
       double estimate_us = 0.0;
@@ -993,7 +785,7 @@ std::string Server::execute_job(const Job& job, sim::CancelToken* cancel) {
     if (job.op == "sleep") {
       // Diagnostic op: occupies a worker for a bounded time so tests can
       // fill the queue / exercise cancellation deterministically.
-      const double ms = finite_field(job.request, "ms", 10.0, 0.0, kMaxSleepMs);
+      const double ms = bounded(job.request, "ms", 10.0, 0.0, kMaxSleepMs);
       Stopwatch watch;
       while (watch.elapsed_ms() < ms) {
         if (cancel != nullptr && cancel->cancelled()) {
@@ -1005,8 +797,7 @@ std::string Server::execute_job(const Job& job, sim::CancelToken* cancel) {
     }
 
     if (job.op == "lint") {
-      const LintSpec spec =
-          parse_lint_spec(job, job.design_path, job.request);
+      const auto spec = decode<LintSpec>(job.request);
       const LintOutcome outcome = run_lint(spec, *library_);
       return ok_tail(job.op, spec.json ? "json" : "text", outcome.output,
                      outcome.failed ? ",\"failed\":true"
@@ -1020,40 +811,37 @@ std::string Server::execute_job(const Job& job, sim::CancelToken* cancel) {
       return ok_tail(job.op, "text", run_sta_report(*session), "");
     }
     if (job.op == "coverage") {
-      const CoverageSpec spec = parse_coverage_spec(job.request);
+      const auto spec = decode<CoverageSpec>(job.request);
       const CoverageOutcome outcome = run_coverage(*session, spec);
       return ok_tail(job.op, spec.json ? "json" : "text", outcome.output,
                      outcome.valid ? ",\"valid\":true" : ",\"valid\":false");
     }
     if (job.op == "certify") {
-      const CertifySpec spec = parse_certify_spec(job.request);
+      const auto spec = decode<CertifySpec>(job.request);
       const CertifyOutcome outcome = run_certify(*session, spec);
       return ok_tail(job.op, spec.json ? "json" : "text", outcome.output,
                      ",\"escapes\":" + std::to_string(outcome.escapes) +
                          ",\"unknowns\":" + std::to_string(outcome.unknowns));
     }
     if (job.op == "compare") {
-      const CompareSpec spec = parse_compare_spec(job.request);
+      const auto spec = decode<CompareSpec>(job.request);
       const CompareOutcome outcome = run_compare(*session, spec);
       return ok_tail(job.op, spec.json ? "json" : "text", outcome.output,
                      ",\"unexpected_escapes\":" +
                          std::to_string(outcome.unexpected_escapes));
     }
     if (job.op == "shard_exec") {
-      const CampaignSpec spec = parse_campaign_spec(job.request);
+      const auto spec = decode<CampaignSpec>(job.request);
       const ShardExecOutcome outcome = run_shard_exec(
           *session, spec, parse_expect_fp(job.request), cancel);
-      char fp_hex[24];
-      std::snprintf(fp_hex, sizeof(fp_hex), "%llx",
-                    static_cast<unsigned long long>(
-                        outcome.shard_fingerprint));
       return ok_tail(job.op, "strike-lines", outcome.payload,
-                     std::string(",\"shard_fp\":\"") + fp_hex +
+                     ",\"shard_fp\":\"" +
+                         fingerprint_hex(outcome.shard_fingerprint) +
                          "\",\"strikes\":" +
                          std::to_string(outcome.strikes));
     }
     // campaign
-    const CampaignSpec spec = parse_campaign_spec(job.request);
+    const auto spec = decode<CampaignSpec>(job.request);
     CampaignOutcome outcome;
     if (spec.distribute && options_.distributed_campaign) {
       const std::vector<std::string> workers =

@@ -4,19 +4,13 @@
 #include <sstream>
 
 #include "common/failpoint.hpp"
+#include "common/fnv.hpp"
 #include "common/metrics.hpp"
 #include "cwsp/timing.hpp"
 #include "netlist/bench_parser.hpp"
 
 namespace cwsp::service {
 namespace {
-
-void fnv_mix(std::uint64_t& h, const std::string& text) {
-  for (char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-}
 
 /// Rough per-session footprint: the dominant arrays all scale with net
 /// and gate counts (netlist records, CSR adjacency, arrival windows,
@@ -30,11 +24,11 @@ std::size_t estimate_bytes(const Netlist& netlist, const std::string& text) {
 }  // namespace
 
 std::uint64_t design_key(const std::string& name, const std::string& text) {
-  std::uint64_t h = 1469598103934665603ULL;
-  fnv_mix(h, name);
+  std::uint64_t h = fnv::kOffsetBasis;
+  fnv::mix_bytes(h, name);
   h ^= 0xff;
-  h *= 1099511628211ULL;
-  fnv_mix(h, text);
+  h *= fnv::kPrime;
+  fnv::mix_bytes(h, text);
   return h;
 }
 

@@ -2,6 +2,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "common/fnv.hpp"
+
 namespace cwsp::set {
 
 std::vector<NetId> strike_sites(const Netlist& netlist) {
@@ -182,13 +184,8 @@ std::vector<StrikePlan> shard_plan(const StrikePlan& plan,
 }
 
 std::uint64_t plan_fingerprint(const StrikePlan& plan) {
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xffULL;
-      h *= 1099511628211ULL;
-    }
-  };
+  std::uint64_t h = fnv::kOffsetBasis;
+  const auto mix = [&h](std::uint64_t v) { fnv::mix(h, v); };
   mix(plan.size());
   for (const PlannedStrike& p : plan.strikes) {
     mix(p.index);

@@ -16,6 +16,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "service/net.hpp"
 #include "service/server.hpp"
 #include "service/session.hpp"
+#include "service/spec_codec.hpp"
 
 namespace cwsp::fabric {
 namespace {
@@ -44,6 +46,7 @@ class FakeWorker {
     kCrash,    // accept, then immediately close (SIGKILLed daemon)
     kStall,    // accept, swallow everything, never respond (frozen daemon)
     kGarbage,  // answer every line with a protocol-shaped lie
+    kRecord,   // keep the request line, then close (a dying daemon)
   };
 
   explicit FakeWorker(Mode mode) : mode_(mode) {
@@ -62,11 +65,18 @@ class FakeWorker {
     return "127.0.0.1:" + std::to_string(port_);
   }
 
+  /// Request lines a kRecord worker received, in arrival order.
+  [[nodiscard]] std::vector<std::string> lines() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return lines_;
+  }
+
  private:
-  static bool read_request_line(int fd) {
+  static bool read_request_line(int fd, std::string* line = nullptr) {
     char c = 0;
     while (::recv(fd, &c, 1, 0) == 1) {
       if (c == '\n') return true;
+      if (line != nullptr) line->push_back(c);
     }
     return false;
   }
@@ -99,6 +109,15 @@ class FakeWorker {
           ::close(client);
           break;
         }
+        case Mode::kRecord: {
+          std::string line;
+          if (read_request_line(client, &line)) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            lines_.push_back(std::move(line));
+          }
+          ::close(client);
+          break;
+        }
       }
     }
   }
@@ -108,6 +127,8 @@ class FakeWorker {
   std::uint16_t port_ = 0;
   std::thread thread_;
   std::vector<int> held_;
+  mutable std::mutex mutex_;
+  std::vector<std::string> lines_;
 };
 
 /// An honest in-process worker daemon on an ephemeral TCP port.
@@ -267,6 +288,45 @@ TEST_F(FabricTest, GarbageResultsAreRejectedNotMerged) {
   EXPECT_EQ(outcome.outcome.output, expected());
   EXPECT_GE(outcome.stats.rejected, 1u);
   EXPECT_GE(outcome.stats.workers_evicted, 1u);
+}
+
+TEST_F(FabricTest, ShardExecLineDecodesToTheCoordinatorsShard) {
+  // Off-default fields a worker must reproduce exactly: a width that
+  // needs all 17 digits, a non-default cell, the adversarial classes.
+  service::CampaignSpec off_default = spec();
+  off_default.width_ps = 412.3;
+  off_default.schemes = {"tmr"};
+  off_default.fault_models = {"double-set"};
+  FakeWorker recorder(FakeWorker::Mode::kRecord);
+  FabricOptions options = base_options();
+  options.workers = {recorder.endpoint()};
+  options.heartbeat_interval_ms = 0.0;
+  const FabricOutcome outcome =
+      run_distributed_campaign(*session_, kDesign, off_default, options);
+  EXPECT_EQ(outcome.outcome.output,
+            service::run_campaign(*session_, off_default).output);
+
+  const std::vector<std::string> lines = recorder.lines();
+  ASSERT_FALSE(lines.empty());
+  for (const std::string& line : lines) {
+    const service::json::Value request = service::json::parse(line);
+    ASSERT_EQ(request.text("op", ""), "shard_exec");
+    const auto decoded = service::decode<service::CampaignSpec>(request);
+    service::CampaignSpec expected = off_default;
+    expected.shard_index = decoded.shard_index;
+    expected.shard_total = decoded.shard_total;
+    EXPECT_EQ(decoded, expected) << line;
+    // The worker rebuilds exactly the shard the coordinator fingerprinted
+    // (run_shard_exec throws ShardMismatchError otherwise).
+    const auto worker_session = service::DesignSession::build(
+        request.text("design_name", ""), request.text("design", ""), lib_);
+    const std::uint64_t expect_fp =
+        std::stoull(request.text("expect_fp", ""), nullptr, 16);
+    EXPECT_EQ(
+        service::run_shard_exec(*worker_session, decoded, expect_fp)
+            .shard_fingerprint,
+        expect_fp);
+  }
 }
 
 TEST_F(FabricTest, UnreachableFleetDegradesToLocalExecution) {

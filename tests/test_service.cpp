@@ -232,19 +232,27 @@ TEST_F(ServiceTest, FullQueueAnswersQueueFullAndQueuedJobsCancel) {
 TEST_F(ServiceTest, InvalidNumericFieldsAreBadRequests) {
   start(1, 8);
   // Negative / fractional / huge numerics must be rejected at admission,
-  // not cast to unsigned (UB) or allowed to exhaust the daemon.
+  // not cast to unsigned (UB) or allowed to exhaust the daemon; zero
+  // cycles or a zero delta must not reach an internal precondition.
+  const auto expect_bad_request = [this](const char* op, const char* field) {
+    const auto response = call(std::string(R"({"id":"n","op":")") + op +
+                               "\"," + field + "," + json_design_field() +
+                               "}");
+    EXPECT_EQ(response.text("code", ""), "bad_request") << op << field;
+    EXPECT_EQ(response.text("error", "").find("precondition failed"),
+              std::string::npos)
+        << response.text("error", "");
+  };
   for (const char* field : {"\"runs\":-1", "\"runs\":1e18", "\"seed\":1.5",
                             "\"jobs\":4096", "\"cycles\":-3",
-                            "\"width\":1e300", "\"timeout_ms\":-5"}) {
-    const auto response = call(R"({"id":"n","op":"campaign",)" +
-                               std::string(field) + "," +
-                               json_design_field() + "}");
-    EXPECT_EQ(response.text("code", ""), "bad_request") << field;
+                            "\"cycles\":0", "\"width\":1e300",
+                            "\"timeout_ms\":-5"}) {
+    expect_bad_request("campaign", field);
   }
-  EXPECT_EQ(call(R"({"id":"n","op":"coverage","runs":-1,)" +
-                 json_design_field() + "}")
-                .text("code", ""),
-            "bad_request");
+  expect_bad_request("coverage", "\"runs\":-1");
+  expect_bad_request("coverage", "\"cycles\":0");
+  expect_bad_request("certify", "\"delta\":0");
+  expect_bad_request("lint", "\"delta\":0");
   // In-range values still work.
   EXPECT_TRUE(call(R"({"op":"campaign","runs":3,"seed":2,)" +
                    json_design_field() + "}")

@@ -5,10 +5,11 @@
 // below, which is the single registry of (name, one-line help, option
 // help, handler).
 //
-// `sta`, `lint`, `campaign`, `coverage` and `certify` execute through
-// the same src/service handlers the resident analysis server uses, so
-// one-shot stdout and a service response payload are byte-identical by
-// construction (docs/service.md).
+// `sta`, `lint`, `campaign`, `coverage`, `certify` and `compare` execute
+// through the same src/service handlers the resident analysis server uses,
+// so one-shot stdout and a service response payload are byte-identical by
+// construction (docs/service.md). Their spec flags are decoded by the
+// service's spec codec, which applies the service's admission bounds.
 //
 // Exit codes: 0 success, 1 findings (lint failures, campaign escapes,
 // failed replay), 2 usage/parse errors, 3 solver failures (also: campaign
@@ -50,6 +51,7 @@
 #include "service/json.hpp"
 #include "service/server.hpp"
 #include "service/session.hpp"
+#include "service/spec_codec.hpp"
 #include "set/ser.hpp"
 #include "spice/subckt.hpp"
 #include "sta/sta.hpp"
@@ -94,48 +96,8 @@ core::ProtectionParams params_from(const Args& args) {
 
 int cmd_lint(const Args& args, const CellLibrary& lib) {
   if (args.positional.empty()) return usage();
-
-  const std::string fail_on = args.text("fail-on", "error");
-  if (fail_on != "error" && fail_on != "warn") {
-    std::cerr << "lint: --fail-on expects 'warn' or 'error'\n";
-    return 2;
-  }
-
-  service::LintSpec spec;
+  service::LintSpec spec = service::decode<service::LintSpec>(args);
   spec.path = args.positional[0];
-  spec.hardened = args.has("hardened");
-  spec.q150 = args.has("q150");
-  if (args.has("delta")) spec.delta_ps = args.number("delta", 500.0);
-  spec.skew_ps = args.number("skew", 0.0);
-  if (args.has("period")) spec.period_ps = args.number("period", 0.0);
-  if (args.has("fallback-cells")) {
-    // Comma-separated cell names whose characterization fell back to the
-    // calibrated model (from `characterize --json`).
-    std::string list = args.text("fallback-cells", "");
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-      const std::size_t comma = list.find(',', pos);
-      const std::string cell = list.substr(
-          pos, comma == std::string::npos ? std::string::npos : comma - pos);
-      if (!cell.empty()) spec.fallback_cells.push_back(cell);
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-  }
-  spec.json = args.has("json");
-  spec.fail_threshold = fail_on == "warn" ? lint::Severity::kWarning
-                                          : lint::Severity::kError;
-  spec.certify = args.has("certify");
-  if (spec.certify && !spec.hardened) {
-    std::cerr << "lint: --certify requires --hardened\n";
-    return 2;
-  }
-  spec.certify_envelope_ps = args.number("env-width", 0.0);
-  spec.certify_seed =
-      static_cast<std::uint64_t>(args.number("certify-seed", 1));
-  spec.scheme = args.text("scheme", "");
-  spec.baseline_path = args.text("baseline", "");
-
   const service::LintOutcome outcome = service::run_lint(spec, lib);
   // The note goes to stderr so --json stdout stays parseable.
   if (!outcome.baseline_note.empty()) {
@@ -174,20 +136,6 @@ int cmd_harden(const Args& args, const CellLibrary& lib) {
   return 0;
 }
 
-std::vector<std::string> split_list(const std::string& list) {
-  std::vector<std::string> items;
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const std::size_t comma = list.find(',', pos);
-    const std::string item = list.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (!item.empty()) items.push_back(item);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return items;
-}
-
 void maybe_dump_metrics(const Args& args) {
   const std::string path = args.text("metrics-json", "");
   if (path.empty()) return;
@@ -214,45 +162,11 @@ int campaign_exit_code(campaign::CampaignStatus status) {
 
 int cmd_campaign(const Args& args, const CellLibrary& lib) {
   if (args.positional.empty()) return usage();
+  const auto spec = service::decode<service::CampaignSpec>(args);
   const auto session = service::load_design_session(args.positional[0], lib);
   if (session->netlist->num_flip_flops() == 0) {
     std::cerr << "campaign requires a sequential design\n";
     return 1;
-  }
-
-  service::CampaignSpec spec;
-  spec.runs = static_cast<std::size_t>(args.number("runs", 50));
-  spec.cycles = static_cast<std::size_t>(args.number("cycles", 16));
-  spec.width_ps = args.number("width", 400.0);
-  spec.seed = static_cast<std::uint64_t>(args.number("seed", 1));
-  spec.jobs =
-      std::max<std::size_t>(1, static_cast<std::size_t>(
-                                   args.number("jobs", 1)));
-  spec.timeout_ms = args.number("timeout-ms", 0.0);
-  spec.adversarial = args.has("adversarial");
-  spec.json = args.has("json");
-  spec.journal_path = args.text("journal", "");
-  if (args.has("resume")) {
-    spec.journal_path = args.text("resume", "");
-    spec.resume = true;
-  }
-  spec.minimize_escapes = args.has("minimize");
-  spec.artifact_dir = args.text("artifacts", "");
-  spec.stop_after =
-      static_cast<std::size_t>(args.number("stop-after", 0));
-  spec.deadline_ms = args.number("deadline-ms", 0.0);
-  spec.schemes = split_list(args.text("scheme", ""));
-  spec.fault_models = split_list(args.text("fault-model", ""));
-  if (args.has("shard")) {
-    const std::string shard = args.text("shard", "");
-    const auto slash = shard.find('/');
-    CWSP_REQUIRE_MSG(slash != std::string::npos,
-                     "--shard expects <i>/<n>, got '" << shard << "'");
-    spec.shard_index = std::stoull(shard.substr(0, slash));
-    spec.shard_total = std::stoull(shard.substr(slash + 1));
-    CWSP_REQUIRE_MSG(
-        spec.shard_index >= 1 && spec.shard_index <= spec.shard_total,
-        "--shard index out of range in '" << shard << "'");
   }
 
   // Distributed mode: fan shards out to worker daemons (and/or recover a
@@ -261,7 +175,8 @@ int cmd_campaign(const Args& args, const CellLibrary& lib) {
   if (args.has("workers") || args.has("fabric-journal") ||
       args.has("fabric-resume")) {
     fabric::FabricOptions fabric_options;
-    fabric_options.workers = split_list(args.text("workers", ""));
+    fabric_options.workers =
+        service::split_comma_list(args.text("workers", ""));
     fabric_options.shards =
         static_cast<std::size_t>(args.number("fabric-shards", 0));
     fabric_options.lease_ms = args.number("lease-ms", 60'000.0);
@@ -308,16 +223,8 @@ int cmd_campaign(const Args& args, const CellLibrary& lib) {
 
 int cmd_coverage(const Args& args, const CellLibrary& lib) {
   if (args.positional.empty()) return usage();
+  const auto spec = service::decode<service::CoverageSpec>(args);
   const auto session = service::load_design_session(args.positional[0], lib);
-
-  service::CoverageSpec spec;
-  spec.runs = static_cast<std::size_t>(args.number("runs", 50));
-  spec.cycles = static_cast<std::size_t>(args.number("cycles", 20));
-  spec.width_ps = args.number("width", 400.0);
-  spec.seed = static_cast<std::uint64_t>(args.number("seed", 1));
-  spec.scenarios = args.has("scenarios");
-  spec.json = args.has("json");
-
   const service::CoverageOutcome outcome =
       service::run_coverage(*session, spec);
   std::cout << outcome.output;
@@ -326,18 +233,8 @@ int cmd_coverage(const Args& args, const CellLibrary& lib) {
 
 int cmd_certify(const Args& args, const CellLibrary& lib) {
   if (args.positional.empty()) return usage();
+  const auto spec = service::decode<service::CertifySpec>(args);
   const auto session = service::load_design_session(args.positional[0], lib);
-
-  service::CertifySpec spec;
-  spec.q150 = args.has("q150");
-  if (args.has("delta")) spec.delta_ps = args.number("delta", 500.0);
-  spec.skew_ps = args.number("skew", 0.0);
-  spec.envelope_ps = args.number("env-width", 0.0);
-  spec.seed = static_cast<std::uint64_t>(args.number("seed", 1));
-  spec.json = args.has("json");
-  spec.scheme = args.text("scheme", "");
-  spec.artifact_dir = args.text("artifacts", "");
-
   const service::CertifyOutcome outcome =
       service::run_certify(*session, spec);
   std::cout << outcome.output;
@@ -348,20 +245,8 @@ int cmd_certify(const Args& args, const CellLibrary& lib) {
 
 int cmd_compare(const Args& args, const CellLibrary& lib) {
   if (args.positional.empty()) return usage();
+  const auto spec = service::decode<service::CompareSpec>(args);
   const auto session = service::load_design_session(args.positional[0], lib);
-
-  service::CompareSpec spec;
-  spec.runs = static_cast<std::size_t>(args.number("runs", 50));
-  spec.cycles = static_cast<std::size_t>(args.number("cycles", 16));
-  spec.width_ps = args.number("width", 400.0);
-  spec.seed = static_cast<std::uint64_t>(args.number("seed", 1));
-  spec.jobs =
-      std::max<std::size_t>(1, static_cast<std::size_t>(
-                                   args.number("jobs", 1)));
-  spec.schemes = split_list(args.text("scheme", ""));
-  spec.fault_models = split_list(args.text("fault-model", ""));
-  spec.json = args.has("json");
-
   const service::CompareOutcome outcome =
       service::run_compare(*session, spec);
   maybe_dump_metrics(args);
