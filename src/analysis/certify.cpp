@@ -11,10 +11,10 @@
 
 #include "campaign/minimize.hpp"
 #include "common/error.hpp"
+#include "common/json_text.hpp"
 #include "common/rng.hpp"
 #include "cwsp/protection_sim.hpp"
 #include "cwsp/timing.hpp"
-#include "lint/report.hpp"
 #include "set/strike_plan.hpp"
 #include "sim/strike_lanes.hpp"
 #include "sta/sta.hpp"
@@ -868,15 +868,15 @@ std::string format_certify_text(const CertifyResult& result,
 
 std::string format_certify_json(const CertifyResult& result,
                                 const Netlist& netlist) {
-  using lint::json_escape;
+  using json_text::escape;
   // Escaped once per report: witness paths repeat the same names.
   std::vector<std::string> net_names(netlist.num_nets());
   for (std::size_t n = 0; n < net_names.size(); ++n) {
-    net_names[n] = json_escape(netlist.net(NetId{n}).name);
+    net_names[n] = escape(netlist.net(NetId{n}).name);
   }
   std::vector<std::string> ff_names(netlist.num_flip_flops());
   for (std::size_t f = 0; f < ff_names.size(); ++f) {
-    ff_names[f] = json_escape(netlist.flip_flop(FlipFlopId{f}).name);
+    ff_names[f] = escape(netlist.flip_flop(FlipFlopId{f}).name);
   }
   const std::string unnamed = "?";
   auto name_of = [&](NetId net) -> const std::string& {
@@ -892,7 +892,7 @@ std::string format_certify_json(const CertifyResult& result,
   std::string out;
   out.reserve(size);
   append(out, "{\"schema\":\"cwsp-certify-report-v1\",\"design\":\"",
-         json_escape(result.design), "\",\"delta_ps\":",
+         escape(result.design), "\",\"delta_ps\":",
          num(result.params.delta.value()), ",\"envelope_ps\":",
          num(result.envelope_ps), ",\"physical_envelope_ps\":",
          num(result.physical_envelope_ps), ",\"clock_period_ps\":",
@@ -935,7 +935,7 @@ std::string format_certify_json(const CertifyResult& result,
     if (cert.verdict == SiteVerdict::kUnknown &&
         cert.blocking_gate != GlitchWindow::kNone) {
       append(out, ",\"blocking_gate\":\"",
-             json_escape(netlist.gate(GateId{cert.blocking_gate}).name), '"');
+             escape(netlist.gate(GateId{cert.blocking_gate}).name), '"');
     }
     if (cert.verdict == SiteVerdict::kProvedEscape) {
       append(out, ",\"witness\":{\"cycle\":",
@@ -943,13 +943,13 @@ std::string format_certify_json(const CertifyResult& result,
              num(cert.witness_start_ps), ",\"width_ps\":",
              num(cert.witness_width_ps));
       if (!cert.repro_spec_path.empty()) {
-        append(out, ",\"repro\":\"", json_escape(cert.repro_spec_path), '"');
+        append(out, ",\"repro\":\"", escape(cert.repro_spec_path), '"');
       }
       out += '}';
     }
     append(out, ",\"used_fallback\":", flag(cert.used_fallback));
     if (!cert.note.empty()) {
-      append(out, ",\"note\":\"", json_escape(cert.note), '"');
+      append(out, ",\"note\":\"", escape(cert.note), '"');
     }
     out += '}';
   }

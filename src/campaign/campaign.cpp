@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string_view>
@@ -48,61 +48,6 @@ core::ScheduledStrike to_scheduled(const set::PlannedStrike& p) {
   return s;
 }
 
-// Flips cancel tokens of in-flight strikes whose deadline passed. One
-// slot per worker; polling granularity ~1 ms, far below any useful
-// per-strike budget.
-class Watchdog {
- public:
-  explicit Watchdog(std::size_t workers) : slots_(workers) {
-    thread_ = std::thread([this] { loop(); });
-  }
-
-  ~Watchdog() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
-  void arm(std::size_t worker, sim::CancelToken* token, double timeout_ms) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    slots_[worker] = {token, Stopwatch::deadline_after(timeout_ms)};
-  }
-
-  void disarm(std::size_t worker) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    slots_[worker].token = nullptr;
-  }
-
- private:
-  struct Slot {
-    sim::CancelToken* token = nullptr;
-    Stopwatch::Clock::time_point deadline;
-  };
-
-  void loop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stop_) {
-      cv_.wait_for(lock, std::chrono::milliseconds(1));
-      const auto now = Stopwatch::Clock::now();
-      for (Slot& slot : slots_) {
-        if (slot.token != nullptr && now >= slot.deadline) {
-          slot.token->cancel();
-          slot.token = nullptr;
-        }
-      }
-    }
-  }
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<Slot> slots_;
-  std::thread thread_;
-  bool stop_ = false;
-};
-
 // In-place transpose of a 64×64 bit matrix (bit c of m[r] is element
 // (r, c)): swaps the off-diagonal blocks at sizes 32, 16, ..., 1.
 void transpose_bits64(std::uint64_t* m) {
@@ -121,6 +66,99 @@ std::string escape_diagnostic(const core::ProtectionRunResult& r) {
   std::ostringstream os;
   os << r.silent_corruptions << " corrupted commit(s)";
   return os.str();
+}
+
+/// Runs `worker(claim)` on min(jobs, units) threads, inline when that is
+/// at most one. The workers share one atomic cursor: `claim(u)` stores the
+/// next unclaimed unit in `u` and returns false once the units run out or
+/// `cancel` fires. Each unit writes only its own pre-sized result slots,
+/// so no outcome depends on which worker ran which unit. An exception
+/// escaping a worker (a throwing journal append) reaches the caller after
+/// every thread is joined, as it does inline.
+template <class Worker>
+void run_pool(std::size_t jobs, std::size_t units,
+              const sim::CancelToken* cancel, const Worker& worker) {
+  std::atomic<std::size_t> cursor{0};
+  const auto claim = [&](std::size_t& unit) {
+    if (cancel != nullptr && cancel->cancelled()) return false;
+    unit = cursor.fetch_add(1);
+    return unit < units;
+  };
+  const std::size_t threads = std::min(jobs, units);
+  if (threads <= 1) {
+    worker(claim);
+    return;
+  }
+  std::mutex failure_mutex;
+  std::exception_ptr failure;
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  for (std::size_t w = 0; w < threads; ++w) {
+    pool.emplace_back([&] {
+      try {
+        worker(claim);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(failure_mutex);
+        if (failure == nullptr) failure = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  if (failure != nullptr) std::rethrow_exception(failure);
+}
+
+/// Lands one strike's result in its plan slot and journals it.
+void record(JournalWriter* writer, CampaignResult& result, std::size_t pos,
+            const StrikeResult& r) {
+  if (writer != nullptr) writer->append(r);
+  result.strikes[pos] = r;
+}
+
+/// One strike on the scalar ProtectionSim, which polls `token`: the
+/// scalar kernel's unit and the lane kernel's per-strike fallback. A
+/// cancelled run reports kTimeout and any other exception kError, so one
+/// hung or throwing strike costs one inconclusive result, never the
+/// campaign.
+StrikeResult scalar_strike(const core::ProtectionSim& scalar,
+                           const sim::CancelToken& token,
+                           const set::PlannedStrike& planned,
+                           const EngineOptions& options) {
+  StrikeResult r;
+  r.index = planned.index;
+  try {
+    if (options.test_hook) options.test_hook(planned.index, token);
+    const auto inputs =
+        CampaignEngine::strike_inputs(scalar.netlist(), options.cycles_per_run,
+                                      options.seed, planned.index);
+    const core::ScheduledStrike scheduled = to_scheduled(planned);
+    const auto protected_r = scalar.run(inputs, {scheduled});
+    r.bubbles = protected_r.bubbles;
+    r.detected_errors = protected_r.detected_errors;
+    r.spurious_recomputes = protected_r.spurious_recomputes;
+    if (protected_r.recovered()) {
+      r.status = StrikeStatus::kCovered;
+    } else {
+      r.status = StrikeStatus::kEscape;
+      r.diagnostic = escape_diagnostic(protected_r);
+    }
+    if (scheduled.target == core::StrikeTarget::kFunctional) {
+      const auto unprotected_r = scalar.run_unprotected(inputs, {scheduled});
+      r.unprotected_failed = unprotected_r.corrupted_cycles > 0;
+    }
+  } catch (const sim::CancelledError&) {
+    r = StrikeResult{};
+    r.index = planned.index;
+    r.status = StrikeStatus::kTimeout;
+    std::ostringstream os;
+    os << "per-strike budget of " << options.timeout_ms << " ms exhausted";
+    r.diagnostic = os.str();
+  } catch (const std::exception& e) {
+    r = StrikeResult{};
+    r.index = planned.index;
+    r.status = StrikeStatus::kError;
+    r.diagnostic = e.what();
+  }
+  return r;
 }
 
 // ---- strike-lane fast path -------------------------------------------
@@ -352,95 +390,43 @@ CampaignResult CampaignEngine::run(const set::StrikePlan& plan,
                    options.resume);
   }
 
-  // The lane path answers batches of strikes at once, so per-strike
-  // wall-clock budgets and per-strike test hooks need the scalar pool.
-  if (!needs_scalar) {
-    run_lane_strikes(plan, options, done,
-                     writer.has_value() ? &*writer : nullptr, result);
-  } else {
-  // ---- worker pool ---------------------------------------------------
-  // Workers claim strike indices from an atomic cursor; each result lands
-  // in its own pre-sized slot, so aggregation (below, sequential and in
-  // index order) is independent of scheduling.
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<std::size_t> fresh_started{0};
-  const std::size_t jobs =
-      std::max<std::size_t>(1, std::min(options.jobs, plan.size()));
-  Watchdog watchdog(jobs);
+  // A misconfigured campaign fails here, the same way on either kernel.
+  core::check_protection_config(*netlist_, params_, clock_period_);
 
-  auto worker = [&](std::size_t worker_id) {
-    core::ProtectionSim sim(*netlist_, params_, clock_period_,
-                            core::ProtectionSimOptions{}, kernel_context_);
-    sim::CancelToken token;
-    sim.set_cancel_token(&token);
-
-    for (;;) {
-      if (options.cancel != nullptr && options.cancel->cancelled()) break;
-      const std::size_t i = cursor.fetch_add(1);
-      if (i >= plan.size()) break;
-      if (done[i] != 0) continue;
-      if (options.stop_after != 0 &&
-          fresh_started.fetch_add(1) >= options.stop_after) {
-        break;
-      }
-
-      const set::PlannedStrike& planned = plan.strikes[i];
-      StrikeResult r;
-      r.index = planned.index;
-      token.reset();
-      if (options.timeout_ms > 0.0) {
-        watchdog.arm(worker_id, &token, options.timeout_ms);
-      }
-      try {
-        if (options.test_hook) options.test_hook(planned.index, token);
-        const auto inputs = strike_inputs(*netlist_, options.cycles_per_run,
-                                          options.seed, planned.index);
-        const core::ScheduledStrike scheduled = to_scheduled(planned);
-        const auto protected_r = sim.run(inputs, {scheduled});
-        r.bubbles = protected_r.bubbles;
-        r.detected_errors = protected_r.detected_errors;
-        r.spurious_recomputes = protected_r.spurious_recomputes;
-        if (protected_r.recovered()) {
-          r.status = StrikeStatus::kCovered;
-        } else {
-          r.status = StrikeStatus::kEscape;
-          r.diagnostic = escape_diagnostic(protected_r);
-        }
-        if (scheduled.target == core::StrikeTarget::kFunctional) {
-          const auto unprotected_r = sim.run_unprotected(inputs, {scheduled});
-          r.unprotected_failed = unprotected_r.corrupted_cycles > 0;
-        }
-      } catch (const sim::CancelledError&) {
-        r = StrikeResult{};
-        r.index = planned.index;
-        r.status = StrikeStatus::kTimeout;
-        std::ostringstream os;
-        os << "per-strike budget of " << options.timeout_ms
-           << " ms exhausted";
-        r.diagnostic = os.str();
-      } catch (const std::exception& e) {
-        r = StrikeResult{};
-        r.index = planned.index;
-        r.status = StrikeStatus::kError;
-        r.diagnostic = e.what();
-      }
-      watchdog.disarm(worker_id);
-      if (writer.has_value()) writer->append(r);
-      result.strikes[i] = r;
-    }
-  };
-
-  if (jobs <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(jobs);
-    for (std::size_t w = 0; w < jobs; ++w) {
-      threads.emplace_back(worker, w);
-    }
-    for (auto& t : threads) t.join();
+  // The work list: the first stop_after (or all) undone plan positions, in
+  // plan order. Both kernels execute exactly this list, so an interrupted
+  // campaign ran the same strikes at any jobs value on either kernel.
+  std::vector<std::size_t> todo;
+  todo.reserve(plan.size());
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    if (done[i] != 0) continue;
+    if (options.stop_after != 0 && todo.size() >= options.stop_after) break;
+    todo.push_back(i);
   }
-  }  // lane_path / worker pool
+
+  JournalWriter* const journal = writer.has_value() ? &*writer : nullptr;
+  if (!needs_scalar) {
+    run_lane_strikes(plan, options, todo, journal, result);
+  } else {
+    // One strike per unit. A worker's simulator polls the worker's own
+    // token, which carries the strike's deadline (none when timeout_ms is
+    // 0), so a budget expires at the simulator's next poll.
+    const auto scalar_worker = [&](const auto& claim) {
+      core::ProtectionSim scalar(*netlist_, params_, clock_period_,
+                                 core::ProtectionSimOptions{},
+                                 kernel_context_);
+      sim::CancelToken token;
+      scalar.set_cancel_token(&token);
+      for (std::size_t u = 0; claim(u);) {
+        token.reset();
+        token.set_deadline(Stopwatch::deadline_after(options.timeout_ms));
+        const std::size_t pos = todo[u];
+        record(journal, result, pos,
+               scalar_strike(scalar, token, plan.strikes[pos], options));
+      }
+    };
+    run_pool(options.jobs, todo.size(), options.cancel, scalar_worker);
+  }
 
   // ---- aggregation (sequential, plan order → deterministic) ----------
   aggregate_results(plan, result);
@@ -490,88 +476,56 @@ CampaignResult CampaignEngine::run(const set::StrikePlan& plan,
 
 void CampaignEngine::run_lane_strikes(const set::StrikePlan& plan,
                                       const EngineOptions& options,
-                                      const std::vector<char>& done,
+                                      const std::vector<std::size_t>& todo,
                                       JournalWriter* writer,
                                       CampaignResult& result) const {
   const scheme::ProtectionScheme& sch = scheme_of(options);
   const bool cwsp_semantics = is_cwsp(sch);
-  // Replicate the scalar path's constructor-time validation with
-  // identical messages: the lane path never builds a ProtectionSim, but
-  // a misconfigured campaign must fail the same way on either path.
-  params_.validate();
-  CWSP_REQUIRE_MSG(netlist_->num_flip_flops() > 0,
-                   "protection protocol requires flip-flops");
-  CWSP_REQUIRE_MSG(clock_period_ >= core::min_clock_period_for_delta(params_),
-                   "clock period " << clock_period_.value()
-                       << " ps violates Eq. 6 minimum "
-                       << core::min_clock_period_for_delta(params_).value()
-                       << " ps for delta " << params_.delta.value() << " ps");
-
-  // The work list: the first stop_after (or all) undone strikes in plan
-  // order — exactly what the scalar pool executes at jobs == 1, which is
-  // the documented stop_after semantics every jobs value must reproduce.
-  std::vector<std::size_t> todo;
-  todo.reserve(plan.size());
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    if (done[i] != 0) continue;
-    if (options.stop_after != 0 && todo.size() >= options.stop_after) break;
-    todo.push_back(i);
-  }
 
   // Protection-path strikes are closed-form (§3.2 case analysis) —
   // resolve them inline; only functional strikes need lane simulation.
   std::vector<std::size_t> functional;
   functional.reserve(todo.size());
   std::uint64_t analytic = 0;
-  bool cancelled = false;
   for (std::size_t pos : todo) {
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      cancelled = true;
-      break;
-    }
+    if (options.cancel != nullptr && options.cancel->cancelled()) break;
     const set::PlannedStrike& planned = plan.strikes[pos];
     if (planned.klass != set::StrikeClass::kProtectionPath) {
       functional.push_back(pos);
       continue;
     }
-    StrikeResult r = sch.resolve_protection_path(
-        planned, options.cycles_per_run, clock_period_);
-    if (writer != nullptr) writer->append(r);
-    result.strikes[pos] = r;
+    record(writer, result, pos,
+           sch.resolve_protection_path(planned, options.cycles_per_run,
+                                       clock_period_));
     ++analytic;
   }
 
   // ---- lane batches --------------------------------------------------
-  // Workers claim whole batches from an atomic cursor; batch boundaries
-  // are fixed by plan order (batch b = functional[b*L .. b*L+L)), so the
-  // per-strike outcomes — and therefore the report — are independent of
-  // which worker runs which batch.
+  // One batch per unit. Batch boundaries are fixed by plan order (batch
+  // b = functional[b*L .. b*L+L)), so the per-strike outcomes — and
+  // therefore the report — are independent of which worker runs which
+  // batch.
   const std::size_t lane_count =
       sim::WideLogicSim::isa_for(options.lane_width).lanes;
   const std::size_t num_batches =
       (functional.size() + lane_count - 1) / lane_count;
-  std::atomic<std::size_t> batch_cursor{0};
   std::atomic<std::uint64_t> batches{0};
   std::atomic<std::uint64_t> lanes_filled{0};
   std::atomic<std::uint64_t> lane_slots{0};
   std::atomic<std::uint64_t> timed{0};
 
-  auto lane_worker = [&] {
+  run_pool(options.jobs, num_batches, options.cancel, [&](const auto& claim) {
     sim::StrikeLaneSim lane_sim(kernel_context_, clock_period_, params_.delta,
                                 options.lane_width);
-    // Scalar fallback simulator, built only if a batch throws.
+    // Scalar fallback simulator, built only if a batch throws; nothing
+    // arms the token it is run under.
     std::unique_ptr<core::ProtectionSim> scalar;
+    const sim::CancelToken unarmed;
     std::vector<std::size_t> indices;
     std::vector<std::uint64_t> stimulus;
     std::vector<sim::LaneScenario> batch;
     std::vector<sim::LaneOutcome> out;
-    for (;;) {
-      if (cancelled ||
-          (options.cancel != nullptr && options.cancel->cancelled())) {
-        break;
-      }
-      const std::size_t b = batch_cursor.fetch_add(1);
-      if (b >= num_batches) break;
+    for (std::size_t b = 0; claim(b);) {
       const std::size_t begin = b * lane_count;
       const std::size_t end =
           std::min(begin + lane_count, functional.size());
@@ -593,16 +547,13 @@ void CampaignEngine::run_lane_strikes(const set::StrikePlan& plan,
         lane_sim.run_packed(batch, options.cycles_per_run, stimulus, out);
         for (std::size_t k = begin; k < end; ++k) {
           const set::PlannedStrike& planned = plan.strikes[functional[k]];
-          StrikeResult r = sch.resolve_functional(
-              planned, out[k - begin], batch[k - begin].squash_at_strike,
-              options.cycles_per_run, params_);
-          if (writer != nullptr) writer->append(r);
-          result.strikes[functional[k]] = r;
+          record(writer, result, functional[k],
+                 sch.resolve_functional(planned, out[k - begin],
+                                        batch[k - begin].squash_at_strike,
+                                        options.cycles_per_run, params_));
         }
       } catch (const std::exception& batch_error) {
-        // Degrade the batch to the scalar per-strike path with the same
-        // exception isolation as the worker pool: one bad strike costs
-        // one inconclusive result, never the campaign.
+        // Degrade the batch to scalar per-strike runs.
         if (scalar == nullptr) {
           scalar = std::make_unique<core::ProtectionSim>(
               *netlist_, params_, clock_period_, core::ProtectionSimOptions{},
@@ -610,43 +561,19 @@ void CampaignEngine::run_lane_strikes(const set::StrikePlan& plan,
         }
         for (std::size_t k = begin; k < end; ++k) {
           const set::PlannedStrike& planned = plan.strikes[functional[k]];
-          StrikeResult r;
-          r.index = planned.index;
-          if (!cwsp_semantics || planned.node2.valid()) {
-            // The scalar simulator speaks only the CWSP protocol over
-            // single-node strikes; an inexpressible strike degrades to
-            // inconclusive instead of a wrong verdict.
-            r.status = StrikeStatus::kError;
-            r.diagnostic = batch_error.what();
-            if (writer != nullptr) writer->append(r);
-            result.strikes[functional[k]] = r;
+          if (cwsp_semantics && !planned.node2.valid()) {
+            record(writer, result, functional[k],
+                   scalar_strike(*scalar, unarmed, planned, options));
             continue;
           }
-          try {
-            const core::ScheduledStrike scheduled = to_scheduled(planned);
-            const auto inputs = strike_inputs(
-                *netlist_, options.cycles_per_run, options.seed, planned.index);
-            const auto protected_r = scalar->run(inputs, {scheduled});
-            r.bubbles = protected_r.bubbles;
-            r.detected_errors = protected_r.detected_errors;
-            r.spurious_recomputes = protected_r.spurious_recomputes;
-            if (protected_r.recovered()) {
-              r.status = StrikeStatus::kCovered;
-            } else {
-              r.status = StrikeStatus::kEscape;
-              r.diagnostic = escape_diagnostic(protected_r);
-            }
-            const auto unprotected_r =
-                scalar->run_unprotected(inputs, {scheduled});
-            r.unprotected_failed = unprotected_r.corrupted_cycles > 0;
-          } catch (const std::exception& e) {
-            r = StrikeResult{};
-            r.index = planned.index;
-            r.status = StrikeStatus::kError;
-            r.diagnostic = e.what();
-          }
-          if (writer != nullptr) writer->append(r);
-          result.strikes[functional[k]] = r;
+          // The scalar simulator speaks only the CWSP protocol over
+          // single-node strikes; an inexpressible strike degrades to
+          // inconclusive instead of a wrong verdict.
+          StrikeResult r;
+          r.index = planned.index;
+          r.status = StrikeStatus::kError;
+          r.diagnostic = batch_error.what();
+          record(writer, result, functional[k], r);
         }
       }
     }
@@ -654,18 +581,7 @@ void CampaignEngine::run_lane_strikes(const set::StrikePlan& plan,
     lanes_filled.fetch_add(lane_sim.lanes_filled());
     lane_slots.fetch_add(lane_sim.lane_slots());
     timed.fetch_add(lane_sim.timed_resolutions());
-  };
-
-  const std::size_t jobs = std::max<std::size_t>(
-      1, std::min(options.jobs, std::max<std::size_t>(num_batches, 1)));
-  if (jobs <= 1) {
-    lane_worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(jobs);
-    for (std::size_t w = 0; w < jobs; ++w) threads.emplace_back(lane_worker);
-    for (auto& t : threads) t.join();
-  }
+  });
 
   // Observability only (never feeds the report).
   auto& registry = metrics::Registry::global();

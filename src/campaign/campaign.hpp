@@ -1,9 +1,10 @@
 #pragma once
 // Resilient parallel fault-injection campaign engine.
 //
-// Wraps the strike planner (set::StrikePlan) and the protection simulator
-// (core::ProtectionSim) in a worker pool built for campaigns that must
-// survive crashes, hangs and interruption at scale:
+// Runs a strike plan (set::StrikePlan) on one of two kernels — the
+// strike-lane kernel (sim::StrikeLaneSim) or the scalar protection
+// simulator (core::ProtectionSim) — through one worker pool built for
+// campaigns that must survive crashes, hangs and interruption at scale:
 //
 //   * deterministic parallelism — every strike draws its stimulus from a
 //     splittable RNG stream keyed by its plan index, so reports are
@@ -47,7 +48,8 @@ struct EngineOptions {
   std::size_t cycles_per_run = 20;
   /// Worker threads. Results are identical for any value ≥ 1.
   std::size_t jobs = 1;
-  /// Per-strike wall-clock budget; 0 disables timeouts.
+  /// Per-strike wall-clock budget, armed as a deadline on the worker's
+  /// CancelToken; 0 disables timeouts. Selects the scalar kernel.
   double timeout_ms = 0.0;
   /// Journal file for checkpoint/resume; empty disables journaling.
   std::string journal_path;
@@ -59,7 +61,8 @@ struct EngineOptions {
   /// Directory for repro artifacts (written only when non-empty and
   /// minimize_escapes is set).
   std::string artifact_dir;
-  /// Execute at most this many *fresh* strikes, then stop (0 = no limit).
+  /// Execute only the first this-many *fresh* (undone) strikes in plan
+  /// order, at any `jobs` on either kernel, then stop (0 = no limit).
   /// Simulates an interruption deterministically; the journal keeps the
   /// finished work, so `resume` completes the campaign.
   std::size_t stop_after = 0;
@@ -75,9 +78,11 @@ struct EngineOptions {
   /// Lane width for the strike-lane kernel (64, 256 or 512); 0 picks the
   /// widest ISA-accelerated width this CPU supports.
   std::size_t lane_width = 0;
-  /// Test hook run before each strike's simulation on the worker thread
-  /// (e.g. to inject a hang that only the watchdog can break). Must throw
-  /// sim::CancelledError to emulate a cancelled hang.
+  /// Test hook run before each strike's simulation on the worker thread,
+  /// with the token that carries the strike's deadline (e.g. to inject a
+  /// hang that only the per-strike budget can break). Must throw
+  /// sim::CancelledError to emulate a cancelled hang. Selects the scalar
+  /// kernel.
   std::function<void(std::size_t, const sim::CancelToken&)> test_hook;
   /// Cooperative whole-campaign abort (the analysis service's job
   /// cancellation): workers stop claiming strikes once the token is
@@ -169,15 +174,15 @@ class CampaignEngine {
       std::vector<std::uint64_t>& stimulus);
 
  private:
-  /// The strike-lane fast path of run(): resolves every undone strike of
-  /// `plan` (respecting stop_after/cancel) into result.strikes, batching
-  /// functional strikes lanes-at-a-time through sim::StrikeLaneSim and
-  /// answering protection-path strikes analytically. Byte-identical to
-  /// the scalar worker pool.
+  /// The strike-lane kernel of run(): resolves the plan positions in
+  /// `todo` (run()'s work list) into result.strikes, answering
+  /// protection-path strikes analytically and batching functional strikes
+  /// lanes-at-a-time through sim::StrikeLaneSim. Byte-identical to the
+  /// scalar kernel.
   void run_lane_strikes(const set::StrikePlan& plan,
                         const EngineOptions& options,
-                        const std::vector<char>& done, JournalWriter* writer,
-                        CampaignResult& result) const;
+                        const std::vector<std::size_t>& todo,
+                        JournalWriter* writer, CampaignResult& result) const;
 
   const Netlist* netlist_;
   core::ProtectionParams params_;

@@ -3,39 +3,10 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json_text.hpp"
+
 namespace cwsp::campaign {
 namespace {
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Fixed-precision formatting keeps the JSON byte-deterministic.
 std::string num(double v) {
@@ -131,12 +102,12 @@ std::string format_campaign_json(const CampaignResult& result,
   std::ostringstream os;
   os << "{\n";
   os << "  \"schema\": \"cwsp-campaign-report-v1\",\n";
-  os << "  \"design\": \"" << json_escape(netlist.name()) << "\",\n";
+  os << "  \"design\": \"" << json_text::escape(netlist.name()) << "\",\n";
   // Emitted only off the default (scheme=cwsp, fault-model=single-set) so
   // plain CWSP reports stay byte-identical to pre-scheme-registry output.
   if (result.scheme != "cwsp" || result.fault_model != "single-set") {
-    os << "  \"scheme\": \"" << json_escape(result.scheme) << "\",\n";
-    os << "  \"fault_model\": \"" << json_escape(result.fault_model)
+    os << "  \"scheme\": \"" << json_text::escape(result.scheme) << "\",\n";
+    os << "  \"fault_model\": \"" << json_text::escape(result.fault_model)
        << "\",\n";
   }
   os << "  \"status\": \"" << to_string(campaign_status(result)) << "\",\n";
@@ -183,7 +154,7 @@ std::string format_campaign_json(const CampaignResult& result,
   for (std::size_t i = 0; i < r.scenarios.size(); ++i) {
     const core::ScenarioStats& s = r.scenarios[i];
     if (i > 0) os << ", ";
-    os << "{\"name\": \"" << json_escape(s.name)
+    os << "{\"name\": \"" << json_text::escape(s.name)
        << "\", \"strikes\": " << s.strikes << ", \"escapes\": " << s.escapes
        << ", \"inconclusive\": " << s.inconclusive
        << ", \"timeouts\": " << s.timeouts
@@ -206,13 +177,13 @@ std::string format_campaign_json(const CampaignResult& result,
       os << "{\"index\": " << s.index << ", \"class\": \""
          << set::to_string(p.klass) << "\"";
       if (p.strike.node.valid()) {
-        os << ", \"node\": \"" << json_escape(netlist.net(p.strike.node).name)
-           << "\"";
+        os << ", \"node\": \""
+           << json_text::escape(netlist.net(p.strike.node).name) << "\"";
       }
       os << ", \"cycle\": " << p.cycle << ", \"start_ps\": "
          << num(p.strike.start.value()) << ", \"width_ps\": "
          << num(p.strike.width.value()) << ", \"diagnostic\": \""
-         << json_escape(s.diagnostic) << "\"}";
+         << json_text::escape(s.diagnostic) << "\"}";
     }
   }
   os << "],\n";
@@ -226,7 +197,7 @@ std::string format_campaign_json(const CampaignResult& result,
       first = false;
       os << "{\"index\": " << s.index << ", \"status\": \""
          << to_string(s.status) << "\", \"diagnostic\": \""
-         << json_escape(s.diagnostic) << "\"}";
+         << json_text::escape(s.diagnostic) << "\"}";
     }
   }
   os << "],\n";
@@ -240,7 +211,7 @@ std::string format_campaign_json(const CampaignResult& result,
        << num(repro.minimized.strike.start.value()) << ", \"cycles\": "
        << repro.inputs.size();
     if (!repro.spec_path.empty()) {
-      os << ", \"spec\": \"" << json_escape(repro.spec_path) << "\"";
+      os << ", \"spec\": \"" << json_text::escape(repro.spec_path) << "\"";
     }
     os << "}";
   }

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "cell/calibration.hpp"
+#include "common/json_text.hpp"
 #include "netlist/netlist.hpp"
 #include "spice/transient.hpp"
 
@@ -117,22 +118,6 @@ void characterize_cwsp_arc(const char* name, double wp, double wn,
   report.arcs.push_back(std::move(arc));
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 const char* to_string(ArcProvenance provenance) {
@@ -171,7 +156,7 @@ std::string CharacterizationReport::to_json() const {
   os << "{\n  \"load_ff\": " << load_ff << ",\n  \"arcs\": [\n";
   for (std::size_t i = 0; i < arcs.size(); ++i) {
     const auto& arc = arcs[i];
-    os << "    {\"cell\": \"" << json_escape(arc.cell) << "\", "
+    os << "    {\"cell\": \"" << json_text::escape(arc.cell) << "\", "
        << "\"provenance\": \"" << to_string(arc.provenance) << "\", "
        << "\"delay_ps\": " << arc.delay_ps << ", "
        << "\"model_delay_ps\": " << arc.model_delay_ps << ", "

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/fnv.hpp"
+#include "common/json_text.hpp"
 #include "common/metrics.hpp"
 
 namespace cwsp::failpoint {
@@ -47,22 +48,6 @@ const char* kind_name(ActionKind kind) {
       return "abort";
   }
   return "?";
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -219,7 +204,7 @@ std::string Registry::to_json() const {
   for (const auto& [name, point] : points_) {
     if (!first) os << ',';
     first = false;
-    os << "{\"name\":\"" << json_escape(name) << "\",\"action\":\""
+    os << "{\"name\":\"" << json_text::escape(name) << "\",\"action\":\""
        << kind_name(point.action.kind) << "\",\"hits\":" << point.hits
        << ",\"fired\":" << point.fired << '}';
   }

@@ -81,4 +81,10 @@ ProtectionParams ProtectionParams::for_glitch_width(Picoseconds delta) {
   return p;
 }
 
+ProtectionParams ProtectionParams::select(bool q150,
+                                          std::optional<double> delta_ps) {
+  if (delta_ps.has_value()) return for_glitch_width(Picoseconds(*delta_ps));
+  return q150 ? ProtectionParams::q150() : q100();
+}
+
 }  // namespace cwsp::core

@@ -3,6 +3,8 @@
 // the paper): the delay element δ, the CWSP element sizing/delay, the
 // delay-line segment counts and the calibrated per-FF active area.
 
+#include <optional>
+
 #include "cell/calibration.hpp"
 #include "common/error.hpp"
 #include "common/units.hpp"
@@ -31,6 +33,11 @@ struct ProtectionParams {
   /// D_max < 1415 ps. Per the paper, area is upper-bounded by the Q=100 fC
   /// protection circuit and Δ keeps its Q=100 fC value.
   [[nodiscard]] static ProtectionParams for_glitch_width(Picoseconds delta);
+  /// The configuration a `--q150` / `--delta <ps>` pair (or a request's
+  /// `q150` / `delta`) names: a custom δ wins, otherwise Q = 150 fC when
+  /// asked, else Q = 100 fC.
+  [[nodiscard]] static ProtectionParams select(
+      bool q150, std::optional<double> delta_ps);
 
   /// Continuous tuning knob (paper §2: "the circuit can easily be tuned
   /// to tolerate glitch widths of different magnitudes"): interpolates /

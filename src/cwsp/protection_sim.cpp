@@ -15,6 +15,19 @@ const ScheduledStrike* strike_at(const std::vector<ScheduledStrike>& strikes,
 
 }  // namespace
 
+void check_protection_config(const Netlist& netlist,
+                             const ProtectionParams& params,
+                             Picoseconds clock_period) {
+  params.validate();
+  CWSP_REQUIRE_MSG(netlist.num_flip_flops() > 0,
+                   "protection protocol requires flip-flops");
+  CWSP_REQUIRE_MSG(clock_period >= min_clock_period_for_delta(params),
+                   "clock period " << clock_period.value()
+                       << " ps violates Eq. 6 minimum "
+                       << min_clock_period_for_delta(params).value()
+                       << " ps for delta " << params.delta.value() << " ps");
+}
+
 ProtectionSim::ProtectionSim(
     const Netlist& netlist, const ProtectionParams& params,
     Picoseconds clock_period, ProtectionSimOptions options,
@@ -26,14 +39,7 @@ ProtectionSim::ProtectionSim(
       sim_(netlist, context != nullptr
                         ? std::move(context)
                         : sim::CompiledKernelContext::build(netlist)) {
-  params_.validate();
-  CWSP_REQUIRE_MSG(netlist.num_flip_flops() > 0,
-                   "protection protocol requires flip-flops");
-  CWSP_REQUIRE_MSG(clock_period >= min_clock_period_for_delta(params_),
-                   "clock period " << clock_period.value()
-                       << " ps violates Eq. 6 minimum "
-                       << min_clock_period_for_delta(params_).value()
-                       << " ps for delta " << params_.delta.value() << " ps");
+  check_protection_config(netlist, params_, clock_period);
 }
 
 std::vector<std::vector<bool>> ProtectionSim::golden_run(

@@ -78,10 +78,19 @@ struct UnprotectedRunResult {
   std::size_t corrupted_cycles = 0;
 };
 
+/// The configuration every protocol run rests on: valid params, at least
+/// one flip-flop, and a clock period meeting Eq. 6 for the params' δ.
+/// Throws cwsp::Error. ProtectionSim's constructor and the campaign engine
+/// (on either kernel) both check through here, with the same messages.
+void check_protection_config(const Netlist& netlist,
+                             const ProtectionParams& params,
+                             Picoseconds clock_period);
+
 class ProtectionSim {
  public:
   /// The clock period must satisfy both the functional constraint
-  /// (hardened period for the design's D_max) and Eq. 6 for the params' δ.
+  /// (hardened period for the design's D_max) and Eq. 6 for the params' δ
+  /// (check_protection_config).
   /// `context` optionally shares a prebuilt compiled-kernel context (flat
   /// view + STA) so campaign workers skip the per-instance rebuild; pass
   /// nullptr to build privately.

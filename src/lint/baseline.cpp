@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/json_text.hpp"
 #include "lint/report.hpp"
 
 namespace cwsp::lint {
@@ -35,7 +36,7 @@ std::string sorted_names(const Diagnostic& d) {
 // The baseline schema is a fixed shape ({"schema":..., "entries":[{"key":
 // string, "count": integer}]}), so a small recursive-descent reader over
 // exactly that subset keeps this library free of a JSON dependency. It
-// accepts arbitrary whitespace and the escapes json_escape produces.
+// accepts arbitrary whitespace and the escapes json_text::escape produces.
 
 struct Cursor {
   const std::string& text;
@@ -131,7 +132,7 @@ std::string format_baseline(const LintReport& report) {
   for (const auto& [key, count] : counts) {
     if (!first) os << ",";
     first = false;
-    os << "\n    {\"key\": \"" << json_escape(key)
+    os << "\n    {\"key\": \"" << json_text::escape(key)
        << "\", \"count\": " << count << "}";
   }
   os << (first ? "]" : "\n  ]") << "\n}\n";

@@ -1,7 +1,8 @@
 #include "lint/report.hpp"
 
-#include <cstdio>
 #include <sstream>
+
+#include "common/json_text.hpp"
 
 namespace cwsp::lint {
 namespace {
@@ -11,45 +12,12 @@ void append_name_array(std::ostringstream& os, const char* key,
   os << '"' << key << "\": [";
   for (std::size_t i = 0; i < names.size(); ++i) {
     if (i != 0) os << ", ";
-    os << '"' << json_escape(names[i]) << '"';
+    os << '"' << json_text::escape(names[i]) << '"';
   }
   os << ']';
 }
 
 }  // namespace
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string format_text(const LintReport& report) {
   std::ostringstream os;
@@ -69,7 +37,7 @@ std::string format_text(const LintReport& report) {
 
 std::string format_json(const LintReport& report) {
   std::ostringstream os;
-  os << "{\n  \"design\": \"" << json_escape(report.design) << "\",\n";
+  os << "{\n  \"design\": \"" << json_text::escape(report.design) << "\",\n";
   os << "  \"clean\": " << (report.clean() ? "true" : "false") << ",\n";
   os << "  \"counts\": {\"error\": " << report.errors()
      << ", \"warning\": " << report.warnings()
@@ -78,9 +46,9 @@ std::string format_json(const LintReport& report) {
   for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
     const Diagnostic& d = report.diagnostics[i];
     os << (i == 0 ? "\n" : ",\n") << "    {\"rule\": \""
-       << json_escape(d.rule_id) << "\", \"severity\": \""
+       << json_text::escape(d.rule_id) << "\", \"severity\": \""
        << to_string(d.severity) << "\", \"message\": \""
-       << json_escape(d.message) << "\", ";
+       << json_text::escape(d.message) << "\", ";
     append_name_array(os, "nets", d.net_names);
     os << ", ";
     append_name_array(os, "gates", d.gate_names);

@@ -15,7 +15,4 @@ namespace cwsp::lint {
 /// [{"rule", "severity", "message", "nets", "gates", "flip_flops"}]}.
 [[nodiscard]] std::string format_json(const LintReport& report);
 
-/// JSON string escaping (exposed for the CLI's ad-hoc fields).
-[[nodiscard]] std::string json_escape(const std::string& text);
-
 }  // namespace cwsp::lint

@@ -7,6 +7,7 @@
 
 #include "campaign/campaign.hpp"
 #include "common/error.hpp"
+#include "common/json_text.hpp"
 #include "common/metrics.hpp"
 #include "common/stopwatch.hpp"
 #include "common/table.hpp"
@@ -38,30 +39,6 @@ std::string sci(double v) {
 /// JSON has no infinity literal; non-finite values serialise as null.
 std::string sci_json(double v) {
   return std::isfinite(v) ? sci(v) : "null";
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
 }
 
 std::vector<const ProtectionScheme*> resolve_schemes(
@@ -255,7 +232,7 @@ std::string format_compare_json(const CompareReport& report) {
   std::ostringstream os;
   os << "{\n";
   os << "  \"schema\": \"cwsp-compare-v1\",\n";
-  os << "  \"design\": \"" << json_escape(report.design) << "\",\n";
+  os << "  \"design\": \"" << json_text::escape(report.design) << "\",\n";
   os << "  \"seed\": " << report.seed << ",\n";
   os << "  \"runs\": " << report.runs << ",\n";
   os << "  \"cycles\": " << report.cycles << ",\n";
@@ -271,7 +248,7 @@ std::string format_compare_json(const CompareReport& report) {
   os << "  \"table2\": [\n";
   for (std::size_t i = 0; i < report.characterizations.size(); ++i) {
     const Characterization& c = report.characterizations[i];
-    os << "    {\"scheme\": \"" << json_escape(c.scheme)
+    os << "    {\"scheme\": \"" << json_text::escape(c.scheme)
        << "\", \"area_regular_um2\": " << num(c.area_regular.value())
        << ", \"area_hardened_um2\": " << num(c.area_hardened.value())
        << ", \"area_overhead_pct\": " << num(c.area_overhead_pct())
@@ -282,7 +259,7 @@ std::string format_compare_json(const CompareReport& report) {
   os << "  \"table3\": [\n";
   for (std::size_t i = 0; i < report.characterizations.size(); ++i) {
     const Characterization& c = report.characterizations[i];
-    os << "    {\"scheme\": \"" << json_escape(c.scheme)
+    os << "    {\"scheme\": \"" << json_text::escape(c.scheme)
        << "\", \"period_regular_ps\": " << num(c.period_regular.value())
        << ", \"period_hardened_ps\": " << num(c.period_hardened.value())
        << ", \"delay_overhead_pct\": " << num(c.delay_overhead_pct())
@@ -297,8 +274,8 @@ std::string format_compare_json(const CompareReport& report) {
     os << "  \"table4\": [\n";
     for (std::size_t i = 0; i < report.coverage.size(); ++i) {
       const CompareReport::CoverageRow& row = report.coverage[i];
-      os << "    {\"scheme\": \"" << json_escape(row.scheme)
-         << "\", \"fault_model\": \"" << json_escape(row.model)
+      os << "    {\"scheme\": \"" << json_text::escape(row.scheme)
+         << "\", \"fault_model\": \"" << json_text::escape(row.model)
          << "\", \"strikes\": " << row.strikes
          << ", \"escapes\": " << row.escapes
          << ", \"unexpected_escapes\": " << row.unexpected_escapes

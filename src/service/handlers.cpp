@@ -30,15 +30,6 @@ std::string num(double v) {
   return buffer;
 }
 
-core::ProtectionParams lint_params(const LintSpec& spec) {
-  if (spec.delta_ps.has_value()) {
-    return core::ProtectionParams::for_glitch_width(
-        Picoseconds(*spec.delta_ps));
-  }
-  return spec.q150 ? core::ProtectionParams::q150()
-                   : core::ProtectionParams::q100();
-}
-
 }  // namespace
 
 std::vector<CampaignCell> campaign_cells(const CampaignSpec& spec) {
@@ -373,14 +364,7 @@ CertifyOutcome run_certify(const DesignSession& session,
                                        << spec.scheme << "' (known: "
                                        << scheme::known_scheme_names()
                                        << ")");
-  core::ProtectionParams params;
-  if (spec.delta_ps.has_value()) {
-    params = core::ProtectionParams::for_glitch_width(
-        Picoseconds(*spec.delta_ps));
-  } else {
-    params = spec.q150 ? core::ProtectionParams::q150()
-                       : core::ProtectionParams::q100();
-  }
+  const auto params = core::ProtectionParams::select(spec.q150, spec.delta_ps);
   // Same period the campaign driver would run this configuration at:
   // the design's hardened period floored at Eq. 6's minimum.
   const Picoseconds period = std::max(
@@ -473,7 +457,7 @@ LintOutcome run_lint(const LintSpec& spec, const CellLibrary& library) {
   }
   lint::LintOptions options;
   if (spec.hardened && cwsp_lint) {
-    options.params = lint_params(spec);
+    options.params = core::ProtectionParams::select(spec.q150, spec.delta_ps);
     options.clock_skew = Picoseconds(spec.skew_ps);
     if (spec.period_ps.has_value()) {
       options.clock_period = Picoseconds(*spec.period_ps);

@@ -1,7 +1,6 @@
 #include "service/json.hpp"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 
 namespace cwsp::service::json {
@@ -306,39 +305,5 @@ Value Value::make_object(Object o) {
 }
 
 Value parse(const std::string& text) { return Parser(text).parse_document(); }
-
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace cwsp::service::json

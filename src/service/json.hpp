@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json_text.hpp"
 
 namespace cwsp::service::json {
 
@@ -79,7 +80,7 @@ class Value {
 [[nodiscard]] Value parse(const std::string& text);
 
 /// Escapes `text` for embedding inside a JSON string literal (quotes not
-/// included).
-[[nodiscard]] std::string escape(const std::string& text);
+/// included); the project's one escaper.
+using json_text::escape;
 
 }  // namespace cwsp::service::json

@@ -110,6 +110,38 @@ bool tail_is_ok(const std::string& tail) {
 
 }  // namespace
 
+ServerOptions decode_server_options(const CliArgs& args) {
+  // Counts far below anything a host could back; sizes below a terabyte.
+  constexpr Bounds kCount{0, 1e6};
+  constexpr Bounds kMegabytes{0, 1e6};
+  constexpr double kMiB = 1024.0 * 1024.0;
+  ServerOptions o;
+  o.socket_path = args.text("socket", "");
+  // A zero count keeps its old meaning: one worker, one queue slot, one
+  // cached session.
+  o.workers = std::max<std::size_t>(
+      1, bounded<std::uint64_t>(args, "workers", 2, kJobs));
+  o.queue_capacity = std::max<std::size_t>(
+      1, bounded<std::uint64_t>(args, "queue_capacity", 64, kCount));
+  o.cache.max_entries = std::max<std::size_t>(
+      1, bounded<std::uint64_t>(args, "cache_entries", 8, kCount));
+  o.cache.max_bytes = static_cast<std::size_t>(
+      bounded(args, "cache_mb", 256.0, kMegabytes) * kMiB);
+  o.result_cache_entries =
+      bounded<std::uint64_t>(args, "result_cache", 64, kCount);
+  o.metrics_json_path = args.text("metrics-json", "");
+  o.tcp_endpoint = args.text("tcp", "");
+  o.max_frame_bytes = static_cast<std::size_t>(
+      bounded(args, "max_frame_mb", 8.0, kMegabytes) * kMiB);
+  o.worker_ttl_ms = bounded(args, "worker_ttl_ms", 15'000.0, kMs);
+  o.register_with = args.text("register", "");
+  o.advertise_endpoint = args.text("advertise", "");
+  o.auth_token = args.text("auth-token", "");
+  // Any value is meaningful: <= 0 waits for in-flight jobs.
+  o.drain_grace_ms = args.number("drain-grace-ms", 5'000.0);
+  return o;
+}
+
 Server::Server(ServerOptions options, const CellLibrary& library)
     : options_(std::move(options)),
       library_(&library),
@@ -449,7 +481,7 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
       const std::string spec = request.text("spec", "");
       if (!spec.empty()) {
         failpoints.configure(
-            spec, bounded<std::uint64_t>(request, "seed", 1, 0, kMaxSeed));
+            spec, bounded<std::uint64_t>(request, "seed", 1, kSeed));
       }
       send_line(conn, "{\"id\":\"" + json::escape(id) + '"' +
                           ok_tail(op, "json", failpoints.to_json() + "\n",
@@ -556,7 +588,7 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     // admission with a typed `overloaded` instead of burning a worker on
     // a response the client has already written off.
     const double deadline_ms =
-        bounded(request, "deadline_ms", 0.0, 0.0, kMaxTimeoutMs);
+        bounded(request, "deadline_ms", 0.0, kMs);
     if (deadline_ms > 0.0) {
       constexpr std::uint64_t kMinShedSamples = 16;
       double estimate_us = 0.0;
@@ -785,7 +817,8 @@ std::string Server::execute_job(const Job& job, sim::CancelToken* cancel) {
     if (job.op == "sleep") {
       // Diagnostic op: occupies a worker for a bounded time so tests can
       // fill the queue / exercise cancellation deterministically.
-      const double ms = bounded(job.request, "ms", 10.0, 0.0, kMaxSleepMs);
+      const double ms =
+          bounded(job.request, "ms", 10.0, Bounds{0, kMaxSleepMs});
       Stopwatch watch;
       while (watch.elapsed_ms() < ms) {
         if (cancel != nullptr && cancel->cancelled()) {

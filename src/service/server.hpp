@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "cell/library.hpp"
+#include "common/cli_args.hpp"
 #include "service/handlers.hpp"
 #include "service/job_queue.hpp"
 #include "service/session.hpp"
@@ -93,6 +94,12 @@ struct ServerOptions {
                                 const std::vector<std::string>&)>
       distributed_campaign;
 };
+
+/// ServerOptions from `cwsp_tool serve` flags (docs/service.md), every
+/// number checked against its range before any cast: out of range throws
+/// ParseError, so a bad flag exits 2 before a socket or thread exists.
+/// The distributed_campaign hook is the caller's.
+[[nodiscard]] ServerOptions decode_server_options(const CliArgs& args);
 
 class Server {
  public:

@@ -20,12 +20,6 @@ enum Use : unsigned {
 };
 
 struct Plain {};
-/// A number's admission range, checked before any cast.
-struct Bounds {
-  double lo = 0.0;
-  double hi = 0.0;
-  bool lo_open = false;
-};
 /// Registry names, comma-separated on both surfaces. With a default name
 /// they are mixed, behind `tag`, only when they denote something else, as
 /// specs were mixed before the registry existed.
@@ -34,17 +28,6 @@ struct Names {
   std::uint64_t tag = 0;
 };
 struct Array {};  // a JSON array on the service, a comma list on the CLI
-
-// Generous for real workloads, tight enough that one request cannot pin
-// the daemon (or a wrapped negative count hang a CLI run).
-constexpr Bounds kRuns{0, 1e7};
-constexpr Bounds kCycles{1, 1e6};
-constexpr Bounds kJobs{0, 64};
-constexpr Bounds kSeed{0, kMaxSeed};
-constexpr Bounds kShard{0, 1e6};
-constexpr Bounds kPs{0, 1e9};
-constexpr Bounds kPositivePs{0, 1e9, true};
-constexpr Bounds kMs{0, kMaxTimeoutMs};
 
 template <class S, class T>
 concept SpecOf = std::is_same_v<std::remove_const_t<S>, T>;
@@ -424,16 +407,19 @@ std::uint64_t sta_fingerprint(std::uint64_t design_key) {
   return Hasher(design_key, 0x57a).h;
 }
 
-template <class T>
-T bounded(const json::Value& request, const char* key, T fallback, double lo,
-          double hi) {
-  Decoder{request}(key, fallback, Bounds{lo, hi});
+template <class T, class Surface>
+T bounded(const Surface& surface, const char* key, T fallback,
+          Bounds bounds) {
+  Decoder{surface}(key, fallback, bounds);
   return fallback;
 }
-template double bounded(const json::Value&, const char*, double, double,
-                        double);
-template std::uint64_t bounded(const json::Value&, const char*,
-                               std::uint64_t, double, double);
+#define CWSP_BOUNDED(T)                                           \
+  template T bounded(const json::Value&, const char*, T, Bounds); \
+  template T bounded(const CliArgs&, const char*, T, Bounds);
+CWSP_BOUNDED(double)
+CWSP_BOUNDED(std::optional<double>)
+CWSP_BOUNDED(std::uint64_t)
+#undef CWSP_BOUNDED
 
 std::vector<std::string> split_comma_list(const std::string& text) {
   std::vector<std::string> items;

@@ -16,8 +16,23 @@
 
 namespace cwsp::service {
 
-inline constexpr std::uint64_t kMaxSeed = 1ULL << 53;  // exact in a double
-inline constexpr double kMaxTimeoutMs = 1e9;
+/// A number's admission range, checked before any cast.
+struct Bounds {
+  double lo = 0.0;
+  double hi = 0.0;
+  bool lo_open = false;
+};
+
+// Generous for real workloads, tight enough that one request cannot pin
+// the daemon (or a wrapped negative count hang a CLI run).
+inline constexpr Bounds kRuns{0, 1e7};
+inline constexpr Bounds kCycles{1, 1e6};
+inline constexpr Bounds kJobs{0, 64};
+inline constexpr Bounds kSeed{0, 1ULL << 53};  // exact in a double
+inline constexpr Bounds kShard{0, 1e6};
+inline constexpr Bounds kPs{0, 1e9};
+inline constexpr Bounds kPositivePs{0, 1e9, true};
+inline constexpr Bounds kMs{0, 1e9};
 
 /// Decodes a CampaignSpec (campaign, shard_exec), CoverageSpec,
 /// CertifySpec, CompareSpec or LintSpec from a service request (a
@@ -39,12 +54,14 @@ template <class Spec>
                                                    std::uint64_t design_key);
 [[nodiscard]] std::uint64_t sta_fingerprint(std::uint64_t design_key);
 
-/// A bounded request number outside any spec (the envelope's
-/// `deadline_ms`, control-op fields); `fallback` when absent. T is double
-/// or std::uint64_t (which must be an integer).
-template <class T>
-[[nodiscard]] T bounded(const json::Value& request, const char* key,
-                        T fallback, double lo, double hi);
+/// A bounded number outside any spec: a service request key (the
+/// envelope's `deadline_ms`, control-op fields) or a CLI flag (`serve`,
+/// `harden` and fabric options; the flag is `key` with '_' -> '-');
+/// `fallback` when absent. Out of range throws ParseError. T is double,
+/// std::optional<double> or std::uint64_t (which must be an integer).
+template <class T, class Surface>
+[[nodiscard]] T bounded(const Surface& surface, const char* key, T fallback,
+                        Bounds bounds);
 
 /// "tmr,loco" -> {"tmr", "loco"}; empty items are dropped.
 [[nodiscard]] std::vector<std::string> split_comma_list(

@@ -1,18 +1,21 @@
 #pragma once
 // Cooperative cancellation for long-running simulations.
 //
-// A campaign watchdog flips a CancelToken from another thread; the
-// simulators poll it at cheap, frequent checkpoints (per gate in the
-// event simulator, per cycle in the protection protocol) and abort by
-// throwing CancelledError. The campaign engine catches the exception and
-// degrades the strike to `inconclusive` instead of killing the run.
+// The simulators poll a CancelToken at cheap, frequent checkpoints (per
+// gate in the event simulator, per cycle in the protection protocol) and
+// abort by throwing CancelledError. Another thread may flip it with
+// cancel() (the service's job cancellation), or the token expires on its
+// own deadline.
 //
-// A token can also carry an absolute deadline (steady-clock). Once the
-// deadline passes, cancelled() reports true without anyone calling
-// cancel() — this is how a `deadline_ms` admitted at the service
-// boundary propagates coordinator → worker → EngineOptions::cancel
-// without a reaper thread. The clock is only read when a deadline is
-// armed, so deadline-free polling stays a single relaxed load.
+// A token's deadline is absolute (steady-clock). Once it passes,
+// cancelled() reports true without anyone calling cancel(), so no reaper
+// thread is needed. This carries both time budgets: a campaign's
+// per-strike `timeout_ms` (each engine worker re-arms its own token per
+// strike; the engine degrades a cancelled strike to `inconclusive`
+// instead of killing the run) and a `deadline_ms` admitted at the service
+// boundary (coordinator → worker → EngineOptions::cancel). The clock is
+// only read when a deadline is armed, so deadline-free polling stays a
+// single relaxed load.
 
 #include <atomic>
 #include <chrono>

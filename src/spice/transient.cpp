@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/json_text.hpp"
 #include "spice/solver.hpp"
 
 namespace cwsp::spice {
@@ -470,22 +471,6 @@ bool solve_dc_ladder(const Circuit& circuit, const TransientOptions& options,
   return result;
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 void json_number(std::ostringstream& os, double value) {
   if (std::isfinite(value)) {
     os << value;
@@ -546,7 +531,7 @@ std::string SolverDiagnostics::to_json() const {
   json_number(os, min_dt_ps);
   os << ", \"final_residual_v\": ";
   json_number(os, final_residual_v);
-  os << ", \"failure\": \"" << json_escape(failure) << "\"}";
+  os << ", \"failure\": \"" << json_text::escape(failure) << "\"}";
   return os.str();
 }
 

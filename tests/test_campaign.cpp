@@ -120,34 +120,103 @@ TEST_F(CampaignTest, ResumedCampaignMatchesUninterruptedRun) {
 
 TEST_F(CampaignTest, InjectedHangDegradesToInconclusiveTimeout) {
   const auto plan = mixed_plan(5);
+  // Inline (jobs 1) and pooled workers both break the hang: each worker's
+  // own token carries the strike's deadline.
+  for (std::size_t jobs : {std::size_t{1}, std::size_t{2}}) {
+    EngineOptions opts;
+    opts.seed = 5;
+    opts.cycles_per_run = 10;
+    opts.jobs = jobs;
+    opts.timeout_ms = 50.0;
+    // Strike 2 hangs until its budget cancels it — the failure mode a
+    // livelocked simulator would produce.
+    opts.test_hook = [](std::size_t index, const sim::CancelToken& token) {
+      if (index != 2) return;
+      while (!token.cancelled()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      throw sim::CancelledError("test hook observed cancellation");
+    };
+    const auto result = engine().run(plan, opts);
+    ASSERT_EQ(result.strikes.size(), plan.size()) << "jobs " << jobs;
+    EXPECT_EQ(result.strikes[2].status, StrikeStatus::kTimeout);
+    EXPECT_NE(result.strikes[2].diagnostic.find("budget"), std::string::npos);
+    EXPECT_EQ(result.report.timeouts, 1u) << "jobs " << jobs;
+    EXPECT_EQ(result.report.inconclusive, 1u) << "jobs " << jobs;
+    // The hang is isolated: every other strike still ran to a verdict.
+    EXPECT_FALSE(result.interrupted);
+    for (const auto& s : result.strikes) {
+      EXPECT_TRUE(s.completed());
+      if (s.index != 2) {
+        EXPECT_TRUE(s.conclusive()) << "jobs " << jobs << " strike "
+                                    << s.index;
+      }
+    }
+  }
+}
+
+TEST_F(CampaignTest, SubMillisecondBudgetTimesOutEveryStrike) {
+  const auto plan = mixed_plan(8);
   EngineOptions opts;
-  opts.seed = 5;
+  opts.seed = 8;
   opts.cycles_per_run = 10;
   opts.jobs = 2;
-  opts.timeout_ms = 50.0;
-  // Strike 2 hangs until the watchdog cancels it — the failure mode a
-  // livelocked simulator would produce.
-  opts.test_hook = [](std::size_t index, const sim::CancelToken& token) {
-    if (index != 2) return;
-    while (!token.cancelled()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    throw sim::CancelledError("test hook observed cancellation");
+  opts.timeout_ms = 0.001;
+  // Each strike outlives its 1 µs budget before the simulator's first
+  // cycle poll, which must then see the expired deadline.
+  opts.test_hook = [](std::size_t, const sim::CancelToken&) {
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
   };
   const auto result = engine().run(plan, opts);
   ASSERT_EQ(result.strikes.size(), plan.size());
-  EXPECT_EQ(result.strikes[2].status, StrikeStatus::kTimeout);
-  EXPECT_NE(result.strikes[2].diagnostic.find("budget"), std::string::npos);
-  EXPECT_EQ(result.report.timeouts, 1u);
-  EXPECT_EQ(result.report.inconclusive, 1u);
-  // The hang is isolated: every other strike still ran to a verdict.
-  EXPECT_FALSE(result.interrupted);
   for (const auto& s : result.strikes) {
-    EXPECT_TRUE(s.completed());
-    if (s.index != 2) {
-      EXPECT_TRUE(s.conclusive());
-    }
+    EXPECT_EQ(s.status, StrikeStatus::kTimeout) << "strike " << s.index;
+    EXPECT_EQ(s.diagnostic, "per-strike budget of 0.001 ms exhausted");
   }
+  EXPECT_EQ(result.report.timeouts, plan.size());
+  EXPECT_EQ(result.report.inconclusive, plan.size());
+  EXPECT_FALSE(result.interrupted);
+}
+
+TEST_F(CampaignTest, StopAfterRunsTheFirstUndoneStrikesAtAnyJobs) {
+  const auto dir = scratch_dir("stop_after");
+  const auto plan = mixed_plan(4);
+  EngineOptions base;
+  base.seed = 4;
+  base.cycles_per_run = 10;
+
+  // Positions 0..2 done in a journal, so "undone" starts at position 3.
+  const fs::path seeded = dir / "seeded.journal";
+  EngineOptions seed_run = base;
+  seed_run.journal_path = seeded.string();
+  seed_run.stop_after = 3;
+  ASSERT_EQ(engine().run(plan, seed_run).executed, 3u);
+
+  // Resumes a copy of the seeded journal and stops after 7 fresh strikes.
+  const auto partial = [&](const std::string& label, bool lane,
+                           std::size_t jobs) {
+    const fs::path journal = dir / (label + ".journal");
+    fs::copy_file(seeded, journal);
+    EngineOptions opts = base;
+    opts.journal_path = journal.string();
+    opts.resume = true;
+    opts.stop_after = 7;
+    opts.use_lane_kernel = lane;
+    opts.jobs = jobs;
+    // A budget no strike comes near, as a timed campaign carries.
+    if (!lane) opts.timeout_ms = 60'000.0;
+    const CampaignResult result = engine().run(plan, opts);
+    EXPECT_EQ(result.resumed, 3u) << label;
+    EXPECT_EQ(result.executed, 7u) << label;
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      EXPECT_EQ(result.strikes[i].completed(), i < 10) << label << " @" << i;
+    }
+    return format_campaign_json(result, plan, netlist_, opts, period_);
+  };
+  const std::string lane = partial("lane", true, 2);
+  EXPECT_EQ(partial("scalar_j1", false, 1), lane);
+  EXPECT_EQ(partial("scalar_j4", false, 4), lane);
+  fs::remove_all(dir);
 }
 
 TEST_F(CampaignTest, SimulatorExceptionIsolatedToOneStrike) {

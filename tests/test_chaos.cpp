@@ -295,6 +295,18 @@ TEST_F(CampaignChaosTest, LaneKernelInjectionFallsBackToScalarPath) {
   EXPECT_GE(fired_count("sim.lane.run_batch"), 1u);
 }
 
+TEST_F(CampaignChaosTest, FailedJournalWriteOnAPooledWorkerReachesTheCaller) {
+  // A budget selects the scalar kernel: 12 strikes on 2 worker threads.
+  service::CampaignSpec timed = spec();
+  timed.timeout_ms = 60'000.0;
+  timed.journal_path = journal_path();
+  failpoint::Registry::global().configure(
+      "campaign.journal.append=err:disk full");
+  // The campaign fails as it would inline, instead of ending the process.
+  EXPECT_THROW((void)service::run_campaign(*session_, timed),
+               failpoint::InjectedFault);
+}
+
 TEST(SolverChaos, InjectedSingularityEscalatesTheRecoveryLadder) {
   failpoint::Registry::global().clear();
   spice::SolverDiagnostics clean_diagnostics;

@@ -11,8 +11,13 @@
 #include <sstream>
 #include <thread>
 
+#include "campaign/report.hpp"
 #include "cell/library.hpp"
+#include "common/failpoint.hpp"
 #include "common/metrics.hpp"
+#include "lint/report.hpp"
+#include "netlist/bench_parser.hpp"
+#include "scheme/compare.hpp"
 #include "service/client.hpp"
 #include "service/handlers.hpp"
 #include "service/json.hpp"
@@ -437,6 +442,59 @@ TEST_F(ServiceTest, ClientDialRetriesWithCappedBackoff) {
   std::string line;
   EXPECT_TRUE(client->read_line(line));
   EXPECT_TRUE(delays.empty());
+}
+
+// Every JSON writer shares one escaper: control characters in names and
+// messages come out as valid JSON and parse back to the same bytes.
+TEST(JsonEscape, ControlCharactersRoundTripThroughEveryReport) {
+  const std::string odd = "odd\x01name\r";
+  const auto first = [](const json::Value& doc, const char* array) {
+    return doc.find(array)->as_array().at(0);
+  };
+
+  const CellLibrary lib = make_default_library();
+  Netlist netlist = parse_bench_string(kDesign, lib);
+  netlist.set_name(odd);
+  const Picoseconds period{2000.0};
+  set::StrikePlanOptions po;
+  po.functional_strikes = 2;
+  po.cycles_per_run = 4;
+  po.clock_period = period;
+  const auto plan = set::build_strike_plan(netlist, po, 1);
+  campaign::EngineOptions opts;
+  opts.cycles_per_run = 4;
+  // A throwing strike carries its message into the report's diagnostic.
+  opts.test_hook = [&](std::size_t, const sim::CancelToken&) {
+    throw std::runtime_error(odd);
+  };
+  const campaign::CampaignEngine engine(
+      netlist, core::ProtectionParams::q100(), period);
+  const json::Value campaign_doc = json::parse(campaign::format_campaign_json(
+      engine.run(plan, opts), plan, netlist, opts, period));
+  EXPECT_EQ(campaign_doc.text("design", ""), odd);
+  EXPECT_EQ(first(campaign_doc, "inconclusive").text("diagnostic", ""), odd);
+
+  scheme::CompareReport compare;
+  compare.design = odd;
+  EXPECT_EQ(
+      json::parse(scheme::format_compare_json(compare)).text("design", ""),
+      odd);
+
+  lint::LintReport lint_report;
+  lint_report.design = odd;
+  lint::Diagnostic diagnostic;
+  diagnostic.rule_id = "rule";
+  diagnostic.message = odd;
+  lint_report.diagnostics.push_back(diagnostic);
+  const json::Value lint_doc = json::parse(lint::format_json(lint_report));
+  EXPECT_EQ(lint_doc.text("design", ""), odd);
+  EXPECT_EQ(first(lint_doc, "diagnostics").text("message", ""), odd);
+
+  failpoint::Registry& registry = failpoint::Registry::global();
+  registry.configure(odd + "=err");
+  const std::string points = registry.to_json();
+  registry.clear();
+  EXPECT_EQ(first(json::parse(points), "points").text("name", ""), odd);
 }
 
 }  // namespace

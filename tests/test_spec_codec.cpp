@@ -2,7 +2,8 @@
 // survives the fabric wire (encode → JSON decode) and the CLI (flags built
 // here, independently of the codec's field lists) field for field, with an
 // unchanged fingerprint; out-of-range values are rejected on both surfaces;
-// and the fingerprints that live only in the codec are pinned.
+// the `serve` flags are bounded the same way; and the fingerprints that
+// live only in the codec are pinned.
 
 #include "service/spec_codec.hpp"
 
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "service/server.hpp"
 
 namespace cwsp::service {
 namespace {
@@ -336,6 +338,54 @@ TEST(SpecCodec, OutOfRangeValuesAreRejectedOnBothSurfaces) {
                                              {"--fail-on", "never"});
   expect_rejected_on_both_surfaces<LintSpec>(R"("certify":true)",
                                              {"--certify"});
+}
+
+CliArgs serve_args(const std::vector<const char*>& flags) {
+  std::vector<const char*> argv{"cwsp_tool", "serve", "--socket", "s.sock"};
+  argv.insert(argv.end(), flags.begin(), flags.end());
+  return parse_cli_args(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(SpecCodec, ServeFlagsAreBoundedBeforeAnyCast) {
+  // Decoding only: no socket is bound and no thread started, so even a
+  // worker count that would wrap to ~2^64 threads is safe to probe here.
+  const std::vector<std::vector<const char*>> probes = {
+      {"--workers", "-1"},        {"--workers", "65"},
+      {"--workers", "1e18"},      {"--workers", "nan"},
+      {"--queue-capacity", "-1"}, {"--cache-entries", "-1"},
+      {"--result-cache", "2.5"},  {"--cache-mb", "-1"},
+      {"--max-frame-mb", "-1"},   {"--max-frame-mb", "1e300"},
+      {"--worker-ttl-ms", "-1"}};
+  for (const auto& flags : probes) {
+    EXPECT_THROW((void)decode_server_options(serve_args(flags)), ParseError)
+        << flags[0] << ' ' << flags[1];
+  }
+}
+
+TEST(SpecCodec, ServeFlagsKeepTheirDocumentedMeanings) {
+  const ServerOptions plain;
+  const ServerOptions defaults = decode_server_options(serve_args({}));
+  EXPECT_EQ(defaults.socket_path, "s.sock");
+  EXPECT_EQ(defaults.workers, plain.workers);
+  EXPECT_EQ(defaults.queue_capacity, plain.queue_capacity);
+  EXPECT_EQ(defaults.cache.max_entries, plain.cache.max_entries);
+  EXPECT_EQ(defaults.cache.max_bytes, plain.cache.max_bytes);
+  EXPECT_EQ(defaults.result_cache_entries, plain.result_cache_entries);
+  EXPECT_EQ(defaults.max_frame_bytes, plain.max_frame_bytes);
+  EXPECT_EQ(defaults.worker_ttl_ms, plain.worker_ttl_ms);
+  EXPECT_EQ(defaults.drain_grace_ms, plain.drain_grace_ms);
+
+  const ServerOptions set = decode_server_options(serve_args(
+      {"--workers", "4", "--queue-capacity", "0", "--cache-mb", "1",
+       "--max-frame-mb", "0.5", "--result-cache", "0", "--worker-ttl-ms",
+       "250", "--drain-grace-ms", "-1"}));
+  EXPECT_EQ(set.workers, 4u);
+  EXPECT_EQ(set.queue_capacity, 1u);  // zero still means one slot
+  EXPECT_EQ(set.cache.max_bytes, std::size_t{1} << 20);
+  EXPECT_EQ(set.max_frame_bytes, std::size_t{1} << 19);
+  EXPECT_EQ(set.result_cache_entries, 0u);
+  EXPECT_EQ(set.worker_ttl_ms, 250.0);
+  EXPECT_EQ(set.drain_grace_ms, -1.0);  // <= 0 waits for in-flight jobs
 }
 
 TEST(SpecCodec, ServiceRejectsOneShotKeysAndIgnoresUnknownOnes) {

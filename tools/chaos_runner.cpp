@@ -17,7 +17,8 @@
 //      (resumed + remote + local == total).
 //
 // Exit 0 when every invariant holds, 1 on the first violation (the
-// schedule and metrics JSON artifacts identify the failing seed).
+// schedule and metrics JSON artifacts identify the failing seed), 2 on a
+// malformed or out-of-range --seed.
 //
 //   chaos_runner [--seed <n>] [--schedule-json <path>]
 //                [--metrics-json <path>]
@@ -39,6 +40,7 @@
 #include "service/handlers.hpp"
 #include "service/server.hpp"
 #include "service/session.hpp"
+#include "service/spec_codec.hpp"
 
 namespace {
 
@@ -145,8 +147,13 @@ void write_artifact(const std::string& path, const std::string& body) {
 int main(int argc, char** argv) {
   // No subcommand slot: options start at argv[1].
   const CliArgs args = parse_cli_args(argc, argv, 1);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.number("seed", 1));
+  std::uint64_t seed = 1;
+  try {
+    seed = service::bounded<std::uint64_t>(args, "seed", 1, service::kSeed);
+  } catch (const ParseError& e) {
+    std::cerr << "chaos_runner: parse error: " << e.what() << '\n';
+    return 2;
+  }
   const std::string schedule_path = args.text("schedule-json", "");
   const std::string metrics_path = args.text("metrics-json", "");
 

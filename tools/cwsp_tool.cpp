@@ -21,6 +21,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -85,15 +86,6 @@ int usage() {
   return 2;
 }
 
-core::ProtectionParams params_from(const Args& args) {
-  if (args.has("delta")) {
-    return core::ProtectionParams::for_glitch_width(
-        Picoseconds(args.number("delta", 500.0)));
-  }
-  return args.has("q150") ? core::ProtectionParams::q150()
-                          : core::ProtectionParams::q100();
-}
-
 int cmd_lint(const Args& args, const CellLibrary& lib) {
   if (args.positional.empty()) return usage();
   service::LintSpec spec = service::decode<service::LintSpec>(args);
@@ -117,9 +109,14 @@ int cmd_sta(const Args& args, const CellLibrary& lib) {
 
 int cmd_harden(const Args& args, const CellLibrary& lib) {
   if (args.positional.empty()) return usage();
+  // The certify op's ranges: delta in (0, 1e9] ps, skew in [0, 1e9] ps.
+  const auto delta = service::bounded<std::optional<double>>(
+      args, "delta", std::nullopt, service::kPositivePs);
+  const Picoseconds skew{service::bounded(args, "skew", 0.0, service::kPs)};
   const auto netlist = parse_bench_file(args.positional[0], lib);
 
-  const core::ProtectionParams params = params_from(args);
+  const auto params =
+      core::ProtectionParams::select(args.has("q150"), delta);
   const auto design = core::harden(netlist, params);
   std::cout << core::describe(design);
   if (args.has("areas")) {
@@ -127,7 +124,6 @@ int cmd_harden(const Args& args, const CellLibrary& lib) {
               << core::format_area_report(core::build_area_report(design));
   }
   if (args.has("skew")) {
-    const Picoseconds skew{args.number("skew", 0.0)};
     std::cout << "with " << skew.value() << " ps clock skew, max glitch = "
               << core::max_protected_glitch(design.timing, params, skew)
                      .value()
@@ -177,16 +173,17 @@ int cmd_campaign(const Args& args, const CellLibrary& lib) {
     fabric::FabricOptions fabric_options;
     fabric_options.workers =
         service::split_comma_list(args.text("workers", ""));
-    fabric_options.shards =
-        static_cast<std::size_t>(args.number("fabric-shards", 0));
-    fabric_options.lease_ms = args.number("lease-ms", 60'000.0);
+    fabric_options.shards = service::bounded<std::uint64_t>(
+        args, "fabric_shards", 0, service::kShard);
+    fabric_options.lease_ms =
+        service::bounded(args, "lease_ms", 60'000.0, service::kMs);
     fabric_options.journal_path = args.text("fabric-journal", "");
     if (args.has("fabric-resume")) {
       fabric_options.journal_path = args.text("fabric-resume", "");
       fabric_options.resume = true;
     }
-    fabric_options.stop_after_shards =
-        static_cast<std::size_t>(args.number("stop-after-shards", 0));
+    fabric_options.stop_after_shards = service::bounded<std::uint64_t>(
+        args, "stop_after_shards", 0, service::kShard);
     fabric_options.auth_token = args.text("auth-token", "");
     fabric_options.deadline_ms = spec.deadline_ms;
     fabric_options.log = &std::cerr;
@@ -265,42 +262,23 @@ void handle_stop_signal(int) {
 }
 
 int cmd_serve(const Args& args, const CellLibrary& lib) {
-  service::ServerOptions options;
-  options.socket_path = args.text("socket", "");
+  service::ServerOptions options = service::decode_server_options(args);
   if (options.socket_path.empty()) {
     std::cerr << "serve: --socket <path> is required\n";
     return 2;
   }
-  options.workers = std::max<std::size_t>(
-      1, static_cast<std::size_t>(args.number("workers", 2)));
-  options.queue_capacity = std::max<std::size_t>(
-      1, static_cast<std::size_t>(args.number("queue-capacity", 64)));
-  options.cache.max_entries = std::max<std::size_t>(
-      1, static_cast<std::size_t>(args.number("cache-entries", 8)));
-  options.cache.max_bytes =
-      static_cast<std::size_t>(args.number("cache-mb", 256.0) * 1024.0 *
-                               1024.0);
-  options.result_cache_entries =
-      static_cast<std::size_t>(args.number("result-cache", 64));
-  options.metrics_json_path = args.text("metrics-json", "");
-  options.tcp_endpoint = args.text("tcp", "");
-  options.max_frame_bytes = static_cast<std::size_t>(
-      args.number("max-frame-mb", 8.0) * 1024.0 * 1024.0);
-  options.worker_ttl_ms = args.number("worker-ttl-ms", 15'000.0);
-  options.register_with = args.text("register", "");
-  options.advertise_endpoint = args.text("advertise", "");
-  options.auth_token = args.text("auth-token", "");
-  options.drain_grace_ms = args.number("drain-grace-ms", 5'000.0);
+  const double lease_ms =
+      service::bounded(args, "lease_ms", 60'000.0, service::kMs);
+  const auto failpoints_seed = service::bounded<std::uint64_t>(
+      args, "failpoints_seed", 1, service::kSeed);
   if (args.has("failpoints")) {
-    failpoint::Registry::global().configure(
-        args.text("failpoints", ""),
-        static_cast<std::uint64_t>(args.number("failpoints-seed", 1)));
+    failpoint::Registry::global().configure(args.text("failpoints", ""),
+                                            failpoints_seed);
   }
   // Campaigns with "distribute":true fan out to the workers registered
   // with this coordinator; everything else runs in-process as before.
   // The fabric inherits the serve auth token (one shared secret across
   // the topology) and the request's deadline budget.
-  const double lease_ms = args.number("lease-ms", 60'000.0);
   const std::string fabric_auth = options.auth_token;
   options.distributed_campaign =
       [lease_ms, fabric_auth](const service::DesignSession& session,
