@@ -7,9 +7,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
+#include <numeric>
 
 #include "analysis/certify.hpp"
 #include "bencharness/generator.hpp"
+#include "campaign/campaign.hpp"
 #include "common/failpoint.hpp"
 #include "cwsp/harden.hpp"
 #include "cwsp/protection_sim.hpp"
@@ -259,6 +262,56 @@ void BM_PropagateWindows(benchmark::State& state) {
                           static_cast<std::int64_t>(sites.size()));
 }
 BENCHMARK(BM_PropagateWindows);
+
+void BM_ConeOfCold(benchmark::State& state) {
+  // Cold fanout cones: a fresh flat view per iteration (built outside the
+  // timed region), then the cone of every C880 strike site, which is what
+  // a campaign or certify run pays once per site; items/s is cones/s.
+  const Netlist& netlist = c880();
+  const std::vector<NetId> sites = set::strike_sites(netlist);
+  std::unique_ptr<FlatNetlistView> view;
+  for (auto _ : state) {
+    state.PauseTiming();
+    view = std::make_unique<FlatNetlistView>(netlist);
+    state.ResumeTiming();
+    for (const NetId site : sites) {
+      benchmark::DoNotOptimize(view->cone_of(site).data());
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sites.size()));
+}
+BENCHMARK(BM_ConeOfCold);
+
+void BM_StrikeInputsPacked(benchmark::State& state) {
+  // One lane batch's stimulus at the dispatched width: C7552's 207
+  // primary inputs over 16 cycles, one RNG stream per lane, packed into
+  // run_packed's lane words; items/s is stimulus bits/s.
+  static const Netlist netlist = [] {
+    Netlist n(library(), "inputs");
+    for (int i = 0; i < 207; ++i) n.add_primary_input("i" + std::to_string(i));
+    return n;
+  }();
+  constexpr std::size_t kCycles = 16;
+  const sim::LaneIsa isa = sim::WideLogicSim::dispatched_isa();
+  std::vector<std::size_t> indices(isa.lanes);
+  std::iota(indices.begin(), indices.end(), std::size_t{0});
+  std::vector<std::uint64_t> stimulus;
+  for (auto _ : state) {
+    campaign::CampaignEngine::strike_inputs_packed(netlist, kCycles, 2026,
+                                                   indices, isa.lanes,
+                                                   stimulus);
+    benchmark::DoNotOptimize(stimulus.data());
+    benchmark::ClobberMemory();
+    for (std::size_t& index : indices) index += isa.lanes;
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(kCycles * netlist.primary_inputs().size() *
+                                isa.lanes));
+  state.SetLabel(isa.name);
+}
+BENCHMARK(BM_StrikeInputsPacked);
 
 void BM_FormatCertifyJson(benchmark::State& state) {
   // The JSON report of a designed-envelope C880 certify run (3,600 sites,

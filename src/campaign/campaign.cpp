@@ -48,19 +48,6 @@ core::ScheduledStrike to_scheduled(const set::PlannedStrike& p) {
   return s;
 }
 
-// In-place transpose of a 64×64 bit matrix (bit c of m[r] is element
-// (r, c)): swaps the off-diagonal blocks at sizes 32, 16, ..., 1.
-void transpose_bits64(std::uint64_t* m) {
-  std::uint64_t mask = 0x00000000FFFFFFFFull;
-  for (unsigned j = 32; j != 0; j >>= 1, mask ^= mask << j) {
-    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
-      const std::uint64_t t = ((m[k] >> j) ^ m[k | j]) & mask;
-      m[k] ^= t << j;
-      m[k | j] ^= t;
-    }
-  }
-}
-
 std::string escape_diagnostic(const core::ProtectionRunResult& r) {
   if (r.livelocked) return "protocol livelocked";
   std::ostringstream os;
@@ -281,42 +268,12 @@ void CampaignEngine::strike_inputs_packed(
     const Netlist& netlist, std::size_t cycles, std::uint64_t seed,
     const std::vector<std::size_t>& strike_indices, std::size_t lanes,
     std::vector<std::uint64_t>& stimulus) {
-  CWSP_REQUIRE(lanes % 64 == 0 && strike_indices.size() <= lanes);
-  const std::size_t words = lanes / 64;
+  // strike_inputs draws bit (cycle, pi) as next_bool() number
+  // cycle * PIs + pi of the strike's stream, which is run_packed's order
+  // of lane words.
   const std::size_t bits = cycles * netlist.primary_inputs().size();
-  const std::size_t row_words = (bits + 63) / 64;
-  stimulus.assign(bits * words, 0);
-  // Row i of `rows` is lane w*64+i's stimulus, bit k = cycle * PIs + pi
-  // in strike_inputs' draw order; next_bool() is exactly a clear top bit.
-  std::vector<std::uint64_t> rows(64 * row_words);
-  std::uint64_t block[64];
-  for (std::size_t w = 0; w < words && w * 64 < strike_indices.size(); ++w) {
-    const std::size_t group =
-        std::min<std::size_t>(64, strike_indices.size() - w * 64);
-    for (std::size_t i = 0; i < group; ++i) {
-      Rng rng = Rng::stream(seed, strike_indices[w * 64 + i]);
-      for (std::size_t j = 0; j < row_words; ++j) {
-        const std::size_t hi = std::min<std::size_t>(64, bits - j * 64);
-        std::uint64_t word = 0;
-        for (std::size_t b = 0; b < hi; ++b) {
-          word |= ((rng.next_u64() >> 63) ^ 1u) << b;
-        }
-        rows[i * row_words + j] = word;
-      }
-    }
-    // One 64×64 transpose per 64 stimulus bits turns lane rows into
-    // per-bit lane words.
-    for (std::size_t j = 0; j < row_words; ++j) {
-      for (std::size_t i = 0; i < 64; ++i) {
-        block[i] = i < group ? rows[i * row_words + j] : 0;
-      }
-      transpose_bits64(block);
-      const std::size_t hi = std::min<std::size_t>(64, bits - j * 64);
-      for (std::size_t b = 0; b < hi; ++b) {
-        stimulus[(j * 64 + b) * words + w] = block[b];
-      }
-    }
-  }
+  stimulus.resize(bits * (lanes / 64));
+  sim::pack_stream_draws(lanes, seed, strike_indices, bits, stimulus.data());
 }
 
 CampaignResult CampaignEngine::run(const set::StrikePlan& plan,

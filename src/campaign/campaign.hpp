@@ -167,6 +167,8 @@ class CampaignEngine {
   /// sim::StrikeLaneSim::run_packed's layout for a `lanes`-wide plane:
   /// lane l carries strike_inputs(netlist, cycles, seed,
   /// strike_indices[l]) bit for bit, and lanes past the list are zero.
+  /// `lanes` is one of sim::WideLogicSim::supported_lane_widths(), and
+  /// its stimulus body is the one that width dispatches to.
   /// `stimulus` is resized to cycles × PIs × lanes / 64 words.
   static void strike_inputs_packed(
       const Netlist& netlist, std::size_t cycles, std::uint64_t seed,

@@ -40,17 +40,31 @@ class Rng {
     return r;
   }
 
+  /// The generator's four state words, in step()'s argument order.
+  [[nodiscard]] const std::array<std::uint64_t, 4>& state() const {
+    return state_;
+  }
+
+  /// One xoshiro256** step on state words (s0, s1, s2, s3): advances them
+  /// and returns the output. next_u64() is this step on the generator's
+  /// own state; the strike-lane stimulus bodies step 64 streams' states
+  /// side by side with it (structure-of-arrays).
+  static std::uint64_t step(std::uint64_t& s0, std::uint64_t& s1,
+                            std::uint64_t& s2, std::uint64_t& s3) {
+    const std::uint64_t result = rotl(s1 * 5, 7) * 9;
+    const std::uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = rotl(s3, 45);
+    return result;
+  }
+
   /// Uniform 64-bit value.
   std::uint64_t next_u64() {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
+    return step(state_[0], state_[1], state_[2], state_[3]);
   }
 
   /// Uniform in [0, bound). bound must be > 0.
@@ -81,7 +95,8 @@ class Rng {
     return lo + (hi - lo) * next_double();
   }
 
-  /// Bernoulli trial with success probability p.
+  /// Bernoulli trial with success probability p. At the default p = 0.5
+  /// it is true exactly when next_u64()'s top bit is clear.
   bool next_bool(double p = 0.5) { return next_double() < p; }
 
  private:

@@ -1,10 +1,13 @@
 #include "netlist/flat_view.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 
 namespace cwsp {
 
-FlatNetlistView::FlatNetlistView(const Netlist& netlist) : netlist_(&netlist) {
+FlatNetlistView::FlatNetlistView(const Netlist& netlist)
+    : netlist_(&netlist), cones_(netlist.num_nets()) {
   const std::size_t num_nets = netlist.num_nets();
   const std::size_t num_gates = netlist.num_gates();
   num_pis_ = netlist.primary_inputs().size();
@@ -70,6 +73,17 @@ FlatNetlistView::FlatNetlistView(const Netlist& netlist) : netlist_(&netlist) {
     topo_order_.push_back(order[pos].value());
     topo_position_[order[pos].index()] = static_cast<std::uint32_t>(pos);
   }
+  fanout_pos_offsets_.reserve(num_gates + 1);
+  fanout_pos_offsets_.push_back(0);
+  for (std::uint32_t g : topo_order_) {
+    const std::uint32_t* fan = net_fanout_begin(gate_output_[g]);
+    const std::uint32_t count = net_fanout_size(gate_output_[g]);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      fanout_pos_.push_back(topo_position_[fan[i]]);
+    }
+    fanout_pos_offsets_.push_back(
+        static_cast<std::uint32_t>(fanout_pos_.size()));
+  }
   level_.resize(num_gates, 0);
   for (std::uint32_t g : topo_order_) {
     std::uint32_t lvl = 0;
@@ -93,46 +107,63 @@ FlatNetlistView::FlatNetlistView(const Netlist& netlist) : netlist_(&netlist) {
   for (NetId po : netlist.primary_outputs()) {
     po_nets_.push_back(po.value());
   }
+}
 
-  cone_ready_.assign(num_nets, 0);
-  cones_.resize(num_nets);
+FlatNetlistView::~FlatNetlistView() {
+  for (const auto& cone : cones_) delete cone.load(std::memory_order_acquire);
 }
 
 const std::vector<std::uint32_t>& FlatNetlistView::cone_of(NetId net) const {
   CWSP_REQUIRE(net.valid() && net.index() < num_nets());
-  const std::size_t n = net.index();
-  std::lock_guard<std::mutex> lock(cone_mutex_);
-  if (cone_ready_[n] != 0) return cones_[n];
+  std::atomic<const std::vector<std::uint32_t>*>& slot = cones_[net.index()];
+  if (const auto* cone = slot.load(std::memory_order_acquire)) return *cone;
 
-  // Forward BFS over the fanout adjacency; `in_cone` doubles as the
-  // visited set. The result is sorted by topo position so a kernel can
-  // replay just these gates in dependency order.
-  std::vector<char> in_cone(num_gates(), 0);
-  std::vector<std::uint32_t> frontier;
-  auto push_fanout = [&](std::uint32_t from_net) {
-    const std::uint32_t* fan = net_fanout_begin(from_net);
-    const std::uint32_t count = net_fanout_size(from_net);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      if (in_cone[fan[i]] == 0) {
-        in_cone[fan[i]] = 1;
-        frontier.push_back(fan[i]);
+  // One forward sweep over a bitmap indexed by topological position. A
+  // gate's fanouts sit at later positions, so scanning the marks upward
+  // pops the cone already in topological order, and the scan clears each
+  // mark as it pops it: `pending` is all zero between calls. `gates` is
+  // reserved before the first mark, so nothing throws while it is not.
+  thread_local std::vector<std::uint64_t> pending;
+  thread_local std::vector<std::uint32_t> gates;
+  const std::size_t words = (num_gates() + 63) / 64;
+  if (pending.size() < words) pending.resize(words, 0);
+  gates.clear();
+  gates.reserve(num_gates());
+
+  std::size_t first = std::numeric_limits<std::size_t>::max();
+  std::size_t last = 0;
+  const auto mark = [&](std::uint32_t pos) {
+    pending[pos / 64] |= 1ull << (pos % 64);
+    last = std::max<std::size_t>(last, pos / 64);
+  };
+  const std::uint32_t* fan = net_fanout_begin(net.index());
+  for (std::uint32_t i = 0; i < net_fanout_size(net.index()); ++i) {
+    const std::uint32_t pos = topo_position_[fan[i]];
+    first = std::min<std::size_t>(first, pos / 64);
+    mark(pos);
+  }
+  for (std::size_t w = first; w <= last; ++w) {
+    while (pending[w] != 0) {
+      const auto pos = static_cast<std::uint32_t>(
+          w * 64 + static_cast<unsigned>(std::countr_zero(pending[w])));
+      pending[w] &= pending[w] - 1;
+      gates.push_back(topo_order_[pos]);
+      for (std::uint32_t e = fanout_pos_offsets_[pos];
+           e < fanout_pos_offsets_[pos + 1]; ++e) {
+        mark(fanout_pos_[e]);
       }
     }
-  };
-  push_fanout(static_cast<std::uint32_t>(n));
-  std::vector<std::uint32_t>& cone = cones_[n];
-  while (!frontier.empty()) {
-    const std::uint32_t g = frontier.back();
-    frontier.pop_back();
-    cone.push_back(g);
-    push_fanout(gate_output_[g]);
   }
-  std::sort(cone.begin(), cone.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return topo_position_[a] < topo_position_[b];
-            });
-  cone_ready_[n] = 1;
-  return cone;
+
+  auto* built = new std::vector<std::uint32_t>(gates.begin(), gates.end());
+  const std::vector<std::uint32_t>* published = nullptr;
+  if (slot.compare_exchange_strong(published, built,
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return *built;
+  }
+  delete built;  // another thread published the same cone first
+  return *published;
 }
 
 }  // namespace cwsp

@@ -16,13 +16,20 @@
 //     cone-restricted event propagation.
 //
 // The view holds a non-owning pointer to the netlist it was built from
-// and is immutable after construction (cone memoization is internally
-// synchronized), so one instance can be shared read-only across campaign
-// worker threads.
+// and is immutable after construction apart from the cone memo, so one
+// instance can be shared read-only across campaign worker threads.
+//
+// The cone memo is lock-free. Each net owns one atomic pointer, null
+// until its cone is built. A warm cone_of is one acquire load. A cold
+// one builds the cone in thread-local scratch, copies it into a vector
+// of exactly its size and publishes that with a release compare-exchange
+// from null. When two threads race on the same cold net, the loser
+// deletes its identical copy and returns the winner's, so every caller
+// sees one vector per net, at a stable address, until the view dies.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -43,6 +50,9 @@ class FlatNetlistView {
   /// The netlist must outlive the view and must not be mutated while the
   /// view is alive (the view caches its topology).
   explicit FlatNetlistView(const Netlist& netlist);
+  ~FlatNetlistView();
+  FlatNetlistView(const FlatNetlistView&) = delete;
+  FlatNetlistView& operator=(const FlatNetlistView&) = delete;
 
   [[nodiscard]] static std::shared_ptr<const FlatNetlistView> build(
       const Netlist& netlist) {
@@ -114,7 +124,8 @@ class FlatNetlistView {
   // ---------------------------------------------------------- cones
   /// Gates inside the fanout cone of `net` — every gate a glitch on that
   /// net can influence — sorted by topological position. Memoized after
-  /// the first request; safe to call concurrently.
+  /// the first request, and the reference stays valid for the view's
+  /// lifetime; safe to call concurrently (see the file comment).
   [[nodiscard]] const std::vector<std::uint32_t>& cone_of(NetId net) const;
 
  private:
@@ -138,14 +149,19 @@ class FlatNetlistView {
   std::vector<std::uint32_t> net_fanout_offsets_;  // size num_nets + 1
   std::vector<std::uint32_t> net_fanout_gates_;
 
+  // Fanout adjacency by topological position (the cone sweep's): the
+  // gates that read the output of the gate at position p sit at positions
+  // fanout_pos_[fanout_pos_offsets_[p] .. fanout_pos_offsets_[p + 1]).
+  std::vector<std::uint32_t> fanout_pos_offsets_;  // size num_gates + 1
+  std::vector<std::uint32_t> fanout_pos_;
+
   // Endpoint arrays.
   std::vector<std::uint32_t> ff_d_net_;
   std::vector<std::uint32_t> po_nets_;
 
-  // Memoized per-net cones.
-  mutable std::mutex cone_mutex_;
-  mutable std::vector<char> cone_ready_;
-  mutable std::vector<std::vector<std::uint32_t>> cones_;
+  // Memoized per-net cones (indexed by net; null until built). The view
+  // owns every published vector.
+  mutable std::vector<std::atomic<const std::vector<std::uint32_t>*>> cones_;
 };
 
 }  // namespace cwsp

@@ -11,10 +11,14 @@ namespace cwsp::sim {
 namespace detail {
 // Defined in strike_lanes_avx2.cpp / strike_lanes_avx512.cpp when the
 // compiler supports the matching flags (CMake gates the sources and the
-// CWSP_LANES_HAVE_* defines together, so unguarded references below
+// CWSP_LANES_HAVE_* defines together, so the guarded references below
 // never dangle).
-const LaneOps* lane_ops_avx2();
-const LaneOps* lane_ops_avx512();
+void pack_stream_draws_avx2(std::uint64_t seed, const std::size_t* streams,
+                            std::size_t count, std::size_t draws,
+                            std::uint64_t* out);
+void pack_stream_draws_avx512(std::uint64_t seed, const std::size_t* streams,
+                              std::size_t count, std::size_t draws,
+                              std::uint64_t* out);
 }  // namespace detail
 
 namespace {
@@ -36,21 +40,37 @@ bool cpu_has_avx512f() {
 }
 
 // Portable bodies — always compiled, so every width runs on every
-// machine (the vectorized bodies are bit-identical accelerations).
-const LaneOps kScalar64{"scalar-64", 1, &LaneKernelCore<1>::evaluate,
-                        &LaneKernelCore<1>::evaluate_with_flip};
-const LaneOps kPortable256{"portable-256", 4, &LaneKernelCore<4>::evaluate,
-                           &LaneKernelCore<4>::evaluate_with_flip};
-const LaneOps kPortable512{"portable-512", 8, &LaneKernelCore<8>::evaluate,
-                           &LaneKernelCore<8>::evaluate_with_flip};
+// machine. Every entry sweeps on them; the ISA entries swap in their
+// vectorized stimulus body, which is a bit-identical acceleration.
+struct Portable {};  // this TU's instantiation tag (see strike_lanes_impl.hpp)
+
+template <std::size_t K>
+constexpr LaneOps portable_ops(
+    const char* name, decltype(LaneOps::pack_stream_draws) stimulus =
+                          &pack_stream_draws_body<K, Portable>) {
+  return LaneOps{name, K, &LaneKernelCore<K>::evaluate,
+                 &LaneKernelCore<K>::evaluate_with_flip, stimulus};
+}
+
+constexpr LaneOps kScalar64 = portable_ops<1>("scalar-64");
+constexpr LaneOps kPortable256 = portable_ops<4>("portable-256");
+constexpr LaneOps kPortable512 = portable_ops<8>("portable-512");
+#if defined(CWSP_LANES_HAVE_AVX2)
+constexpr LaneOps kAvx2 =
+    portable_ops<4>("avx2-256", &detail::pack_stream_draws_avx2);
+#endif
+#if defined(CWSP_LANES_HAVE_AVX512)
+constexpr LaneOps kAvx512 =
+    portable_ops<8>("avx512-512", &detail::pack_stream_draws_avx512);
+#endif
 
 const LaneOps* resolve_ops(std::size_t lane_width) {
   if (lane_width == 0) {
 #if defined(CWSP_LANES_HAVE_AVX512)
-    if (cpu_has_avx512f()) return detail::lane_ops_avx512();
+    if (cpu_has_avx512f()) return &kAvx512;
 #endif
 #if defined(CWSP_LANES_HAVE_AVX2)
-    if (cpu_has_avx2()) return detail::lane_ops_avx2();
+    if (cpu_has_avx2()) return &kAvx2;
 #endif
     return &kScalar64;
   }
@@ -59,12 +79,12 @@ const LaneOps* resolve_ops(std::size_t lane_width) {
       return &kScalar64;
     case 256:
 #if defined(CWSP_LANES_HAVE_AVX2)
-      if (cpu_has_avx2()) return detail::lane_ops_avx2();
+      if (cpu_has_avx2()) return &kAvx2;
 #endif
       return &kPortable256;
     case 512:
 #if defined(CWSP_LANES_HAVE_AVX512)
-      if (cpu_has_avx512f()) return detail::lane_ops_avx512();
+      if (cpu_has_avx512f()) return &kAvx512;
 #endif
       return &kPortable512;
     default:
@@ -77,6 +97,15 @@ const LaneOps* resolve_ops(std::size_t lane_width) {
 }
 
 }  // namespace
+
+void pack_stream_draws(std::size_t lane_width, std::uint64_t seed,
+                       const std::vector<std::size_t>& streams,
+                       std::size_t draws, std::uint64_t* out) {
+  const LaneOps* ops = resolve_ops(lane_width);
+  CWSP_REQUIRE(ops->words * 64 == lane_width &&
+               streams.size() <= lane_width);
+  ops->pack_stream_draws(seed, streams.data(), streams.size(), draws, out);
+}
 
 // ------------------------------------------------------------------
 // WideLogicSim
@@ -305,6 +334,14 @@ void StrikeLaneSim::run_packed(const std::vector<LaneScenario>& batch,
   ++batches_;
   lanes_filled_ += B;
   lane_slots_ += lanes();
+
+  // Build the batch's cold cones back to back, before the planes' sweeps
+  // evict the view from cache; gather_cone then only looks them up.
+  for (const LaneScenario& sc : batch) {
+    if (sc.cycle >= cycles) continue;
+    (void)view.cone_of(sc.strike.node);
+    if (sc.node2.valid()) (void)view.cone_of(sc.node2);
+  }
 
   // Reset both planes to the all-zero state (ProtectionSim's reset).
   for (std::size_t f = 0; f < nff; ++f) golden_.fill_ff(f, false);

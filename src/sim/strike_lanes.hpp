@@ -7,14 +7,16 @@
 //
 //   * WideLogicSim — the bit-parallel zero-delay simulator: every net
 //     carries K consecutive 64-bit words (K = 1/4/8 → 64/256/512
-//     lanes), and the topological sweep is instantiated once per K
-//     in separate translation units compiled for the matching ISA
-//     (portable baseline always; AVX2 for K=4 and AVX-512 for K=8 when
-//     the compiler supports the flags). Dispatch is resolved at runtime
-//     from CPUID, with an explicit width override for differential
-//     tests, so every width is runnable on every machine and results
-//     are bit-identical between the portable and vectorized bodies by
-//     construction (same scalar semantics, word-parallel).
+//     lanes), and the topological sweep is instantiated once per K.
+//     The packed-stimulus body (pack_stream_draws) is also compiled
+//     in separate translation units for the matching ISA (AVX2 for
+//     K=4 and AVX-512 for K=8 when the compiler supports the flags;
+//     strike_lanes_impl.hpp says why the sweeps are not). Dispatch is
+//     resolved at runtime from CPUID, with an explicit width override
+//     for differential tests, so every width is runnable on every
+//     machine and results are bit-identical between the portable and
+//     vectorized bodies by construction (same scalar semantics,
+//     word-parallel).
 //
 //   * StrikeLaneSim — the campaign batch engine built on two
 //     WideLogicSim planes. Lane l of a batch carries one functional
@@ -48,16 +50,20 @@ namespace cwsp::sim {
 
 class WideLogicSim;
 
-/// One compiled sweep body: the function-pointer vtable the runtime
-/// dispatcher selects from. `words` is the per-net word count K.
+/// One compiled set of lane bodies: the function-pointer vtable the
+/// runtime dispatcher selects from. `words` is the per-net word count K.
 struct LaneOps {
   const char* name = "";
   std::size_t words = 1;
   void (*evaluate)(WideLogicSim&) = nullptr;
   void (*evaluate_with_flip)(WideLogicSim&, std::uint32_t site) = nullptr;
+  /// pack_stream_draws for `count` <= words * 64 streams.
+  void (*pack_stream_draws)(std::uint64_t seed, const std::size_t* streams,
+                            std::size_t count, std::size_t draws,
+                            std::uint64_t* out) = nullptr;
 };
 
-/// What the dispatcher resolved: lane count plus the sweep body's name
+/// What the dispatcher resolved: lane count plus the lane bodies' name
 /// ("scalar-64", "portable-256", "avx2-256", "avx512-512").
 struct LaneIsa {
   std::size_t lanes = 64;
@@ -145,6 +151,15 @@ class WideLogicSim {
   std::vector<char> overlay_valid_;
   std::vector<std::uint32_t> overlay_nets_;
 };
+
+/// Coin flips straight from RNG streams into lane words, on the body that
+/// `lane_width` (one of WideLogicSim::supported_lane_widths()) dispatches
+/// to: bit l % 64 of out[d * lane_width / 64 + l / 64] is the d-th
+/// Rng::stream(seed, streams[l]).next_bool(), and lanes at or past
+/// streams.size() read 0. `out` holds draws * lane_width / 64 words.
+void pack_stream_draws(std::size_t lane_width, std::uint64_t seed,
+                       const std::vector<std::size_t>& streams,
+                       std::size_t draws, std::uint64_t* out);
 
 /// One functional-strike scenario occupying one lane of a batch.
 struct LaneScenario {

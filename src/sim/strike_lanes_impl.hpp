@@ -1,13 +1,19 @@
 #pragma once
-// Templated sweep bodies of WideLogicSim, instantiated once per lane
-// width K (words per net) and per ISA translation unit. The code is
-// plain word-parallel C++ — no intrinsics — so the portable and
-// vectorized instantiations share one definition and differ only in the
-// compiler flags of the including TU (-mavx2 / -mavx512f let the
-// auto-vectorizer turn the constexpr-length word loops into one or two
-// vector ops per gate input). Identical scalar semantics at every width
-// is therefore structural, not something tests merely hope for.
+// Templated lane bodies, instantiated once per lane width K (words per
+// net): the sweeps of WideLogicSim and the stimulus body behind
+// pack_stream_draws. The code is plain word-parallel C++ — no
+// intrinsics — so every instantiation shares one definition and
+// identical scalar semantics at every width is structural, not something
+// tests merely hope for.
+//
+// strike_lanes.cpp instantiates the sweeps for the baseline ISA, and
+// every width sweeps on them. The -mavx2 / -mavx512f translation units
+// instantiate only the stimulus body, whose 64 independent RNG steps per
+// lane word vectorize cleanly. The sweeps do not: compiled with
+// -mavx512f at -O3, GCC 12 scalarizes the K = 8 sum-of-products loop and
+// runs the C7552 golden sweep about 2x slower than the baseline build.
 
+#include "common/rng.hpp"
 #include "netlist/flat_view.hpp"
 #include "sim/strike_lanes.hpp"
 
@@ -117,5 +123,53 @@ struct LaneKernelCore {
     }
   }
 };
+
+/// pack_stream_draws' body for K words per lane plane. Lane l starts from
+/// Rng::stream(seed, streams[l])'s state, and all lanes step together in
+/// structure-of-arrays form, so the 64 steps behind one lane word are
+/// independent and vectorize. next_bool() is a clear top bit, so a lane
+/// word is the complement of its lanes' top bits, masked to the lanes
+/// that carry a stream.
+///
+/// `Isa` is a tag type each including TU declares in an unnamed
+/// namespace. It gives that TU's instantiations internal linkage:
+/// without it, an -mavx512f instantiation and the baseline one of the
+/// same K are one symbol to the linker, which keeps either copy for both.
+template <std::size_t K, class Isa>
+void pack_stream_draws_body(std::uint64_t seed, const std::size_t* streams,
+                            std::size_t count, std::size_t draws,
+                            std::uint64_t* out) {
+  constexpr std::size_t kLanes = K * 64;
+  alignas(64) std::uint64_t s0[kLanes];
+  alignas(64) std::uint64_t s1[kLanes];
+  alignas(64) std::uint64_t s2[kLanes];
+  alignas(64) std::uint64_t s3[kLanes];
+  // Words past the last stream are never stepped; they read 0.
+  const std::size_t words = (count + 63) / 64;
+  std::uint64_t live[K] = {};
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::size_t in_word = count - w * 64;
+    live[w] = in_word >= 64 ? ~0ull : (1ull << in_word) - 1;
+  }
+  for (std::size_t l = 0; l < words * 64; ++l) {
+    const Rng rng = Rng::stream(seed, l < count ? streams[l] : 0);
+    s0[l] = rng.state()[0];
+    s1[l] = rng.state()[1];
+    s2[l] = rng.state()[2];
+    s3[l] = rng.state()[3];
+  }
+  for (std::size_t d = 0; d < draws; ++d) {
+    std::uint64_t* dst = out + d * K;
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t top = 0;
+      for (std::size_t i = 0; i < 64; ++i) {
+        const std::size_t l = w * 64 + i;
+        top |= (Rng::step(s0[l], s1[l], s2[l], s3[l]) >> 63) << i;
+      }
+      dst[w] = ~top & live[w];
+    }
+    for (std::size_t w = words; w < K; ++w) dst[w] = 0;
+  }
+}
 
 }  // namespace cwsp::sim

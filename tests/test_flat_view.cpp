@@ -1,15 +1,16 @@
 // FlatNetlistView: the CSR arrays must be a faithful lowering of the
 // Netlist, the topological order must match the memoized Netlist order,
-// and the memoized fanout cones must equal a brute-force BFS reference.
+// and the memoized fanout cones must equal a brute-force BFS reference,
+// also when several threads build them at once.
 
 #include <algorithm>
-#include <atomic>
 #include <queue>
 #include <set>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "bencharness/generator.hpp"
 #include "netlist/flat_view.hpp"
 #include "netlist_fuzz.hpp"
 
@@ -172,27 +173,59 @@ TEST(FlatViewTest, ConesMatchBfsReferenceAndAreTopoSorted) {
   }
 }
 
-TEST(FlatViewTest, ConeMemoizationIsStableAndThreadSafe) {
-  const Netlist netlist = testing::make_random_netlist(library(), 7);
+/// Every net's cone, queried by 4 threads at once on a cold view. Two
+/// threads walk the nets upward and two downward, so cold builds of one
+/// net race. All must return the reference contents in topological
+/// order, and every thread must see the same vector for a net.
+void expect_concurrent_cones_match_reference(const Netlist& netlist) {
   const FlatNetlistView view(netlist);
-  // Same object back on repeat queries.
-  const auto& first = view.cone_of(NetId{0});
-  EXPECT_EQ(&first, &view.cone_of(NetId{0}));
-  // Concurrent queries over all nets must agree with the serial answer.
+  const std::size_t nets = netlist.num_nets();
+  std::vector<std::vector<std::uint32_t>> expected(nets);
+  for (std::size_t n = 0; n < nets; ++n) {
+    const std::set<std::size_t> reference = reference_cone(netlist, NetId{n});
+    expected[n].assign(reference.begin(), reference.end());
+    std::sort(expected[n].begin(), expected[n].end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return view.topo_position(a) < view.topo_position(b);
+              });
+  }
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<const std::vector<std::uint32_t>*>> seen(
+      kThreads, std::vector<const std::vector<std::uint32_t>*>(nets));
   std::vector<std::thread> threads;
-  std::atomic<bool> ok{true};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (std::size_t n = 0; n < netlist.num_nets(); ++n) {
-        const auto& cone = view.cone_of(NetId{n});
-        if (cone.size() != reference_cone(netlist, NetId{n}).size()) {
-          ok = false;
-        }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t k = 0; k < nets; ++k) {
+        const std::size_t n = t % 2 == 0 ? k : nets - 1 - k;
+        seen[t][n] = &view.cone_of(NetId{n});
       }
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_TRUE(ok);
+  for (std::size_t n = 0; n < nets; ++n) {
+    for (std::size_t t = 1; t < kThreads; ++t) {
+      ASSERT_EQ(seen[t][n], seen[0][n]) << "net " << n << " thread " << t;
+    }
+    ASSERT_EQ(*seen[0][n], expected[n]) << "net " << n;
+  }
+}
+
+TEST(FlatViewTest, ConeMemoizationIsStableAndThreadSafe) {
+  const Netlist netlist = testing::make_random_netlist(library(), 7);
+  {
+    // Same object back on repeat queries.
+    const FlatNetlistView view(netlist);
+    const auto& first = view.cone_of(NetId{0});
+    EXPECT_EQ(&first, &view.cone_of(NetId{0}));
+  }
+  expect_concurrent_cones_match_reference(netlist);
+}
+
+TEST(FlatViewTest, EveryGeneratedC880ConeMatchesReferenceUnderThreads) {
+  const Netlist netlist = bench::clone_with_output_flip_flops(
+      bench::generate_benchmark(bench::find_benchmark("C880"), library())
+          .netlist);
+  expect_concurrent_cones_match_reference(netlist);
 }
 
 }  // namespace

@@ -295,12 +295,16 @@ TEST(PackedStimulus, EveryLaneMatchesStrikeInputsBitForBit) {
     std::size_t cycles;
   };
   // 207 × 16 = 3312 bits (C7552's shape: not a multiple of 64), and a
-  // stimulus shorter than one 64-bit block.
+  // stimulus shorter than one 64-bit block. Each width runs the stimulus
+  // body it dispatches to: portable at 64 lanes, and the AVX2 and
+  // AVX-512 bodies at 256 and 512 where the CPU has them.
   for (const Shape shape : {Shape{207, 16}, Shape{4, 8}}) {
     const Netlist netlist = with_primary_inputs(lib, shape.pis);
     for (std::size_t lanes : sim::WideLogicSim::supported_lane_widths()) {
-      // A full batch and a partial last batch.
-      for (std::size_t filled : {lanes, lanes - 37}) {
+      // A full batch, a partial last batch, one lane and none: the words
+      // past the last stream must read 0.
+      for (std::size_t filled : {lanes, lanes - 37, std::size_t{1},
+                                 std::size_t{0}}) {
         std::vector<std::size_t> indices;
         for (std::size_t l = 0; l < filled; ++l) indices.push_back(1000 + 7 * l);
         std::vector<std::uint64_t> stimulus;
@@ -308,10 +312,11 @@ TEST(PackedStimulus, EveryLaneMatchesStrikeInputsBitForBit) {
             netlist, shape.cycles, 2026, indices, lanes, stimulus);
         const std::size_t words = lanes / 64;
         ASSERT_EQ(stimulus.size(), shape.cycles * shape.pis * words);
-        const std::string label = std::to_string(shape.pis) + " PIs x " +
-                                  std::to_string(shape.cycles) +
-                                  " cycles, lanes " + std::to_string(lanes) +
-                                  " filled " + std::to_string(filled);
+        const std::string label =
+            std::string(sim::WideLogicSim::isa_for(lanes).name) + ", " +
+            std::to_string(shape.pis) + " PIs x " +
+            std::to_string(shape.cycles) + " cycles, filled " +
+            std::to_string(filled);
         for (std::size_t l = 0; l < lanes; ++l) {
           const auto reference =
               l < filled ? campaign::CampaignEngine::strike_inputs(

@@ -431,12 +431,19 @@ int cmd_glitch(const Args& args, const CellLibrary&) {
   return 0;
 }
 
+// Ranges of the numbers only these commands read. Like every other CLI
+// number they go through the codec's bounds (exit 2 when out of range).
+constexpr service::Bounds kNewtonIterations{1, 1e6};
+constexpr service::Bounds kFlipFlopCount{1, 1e5};
+constexpr service::Bounds kFraction{0, 1};
+
 int cmd_characterize(const Args& args, const CellLibrary& lib) {
   CharacterizeOptions options;
   options.load = Femtofarads(args.number("load", 2.0));
   if (args.has("max-newton")) {
     options.transient.max_newton_iterations =
-        static_cast<int>(args.number("max-newton", 200.0));
+        static_cast<int>(service::bounded<std::uint64_t>(
+            args, "max_newton", 0, kNewtonIterations));
   }
   options.include_cwsp = !args.has("no-cwsp");
   const auto report = characterize_library(lib, options);
@@ -450,7 +457,20 @@ int cmd_characterize(const Args& args, const CellLibrary& lib) {
 
 int cmd_elaborate(const Args& args, const CellLibrary& lib) {
   if (args.positional.empty()) return usage();
-  const int n = std::stoi(args.positional[0]);
+  // The count is an operand, so the codec reads it as a stand-in flag and
+  // the error names the operand instead.
+  Args operand;
+  operand.options["n-ffs"] = args.positional[0];
+  std::uint64_t count = 0;
+  try {
+    count = service::bounded<std::uint64_t>(operand, "n_ffs", 0,
+                                            kFlipFlopCount);
+  } catch (const ParseError&) {
+    throw ParseError("<n_ffs> must be an integer in [1, " +
+                     std::to_string(static_cast<long>(kFlipFlopCount.hi)) +
+                     "], got '" + args.positional[0] + "'");
+  }
+  const int n = static_cast<int>(count);
   const auto p = core::elaborate_protection(n, lib);
   if (args.has("dot")) {
     write_dot(p.netlist, std::cout);
@@ -505,12 +525,12 @@ int cmd_stats(const Args& args, const CellLibrary& lib) {
 
 int cmd_ser(const Args& args, const CellLibrary& lib) {
   if (args.positional.empty()) return usage();
+  const double fail_fraction = service::bounded(args, "fail", 0.2, kFraction);
   const auto netlist = parse_bench_file(args.positional[0], lib);
   const auto params = core::ProtectionParams::q100();
   const auto design = core::harden(netlist, params);
 
   set::SerAnalyzer analyzer;
-  const double fail_fraction = args.number("fail", 0.2);
   const auto report = analyzer.analyze(design.hardened_area,
                                        design.max_glitch, fail_fraction);
   std::cout << "strikes/year            : " << report.strikes_per_year
@@ -696,14 +716,16 @@ const std::vector<Subcommand>& subcommands() {
       {"characterize", "", "electrical cell characterization",
        "  --json            machine-readable report with per-arc provenance\n"
        "  --load <fF>       output load (default 2 fF)\n"
-       "  --max-newton <n>  Newton iteration budget (small values provoke\n"
-       "                    calibrated-fallback arcs)\n"
+       "  --max-newton <n>  Newton iteration budget, 1..1000000 (small\n"
+       "                    values provoke calibrated-fallback arcs)\n"
        "  --no-cwsp         skip the CWSP element arcs\n",
        cmd_characterize},
       {"elaborate", "<n_ffs>", "checker netlist (.bench/.dot)",
+       "  <n_ffs>           protected flip-flops, 1..100000\n"
        "  --dot             emit graphviz instead of .bench\n", cmd_elaborate},
       {"ser", "<design.bench>", "soft-error-rate estimate",
-       "  --fail <frac>     fraction of strikes that corrupt state\n",
+       "  --fail <frac>     fraction of strikes that corrupt state, 0..1\n"
+       "                    (default 0.2)\n",
        cmd_ser},
       {"verilog", "<design.bench>", "emit structural Verilog", "",
        cmd_verilog},
