@@ -11,8 +11,12 @@
 // design (C880) with the scalar compiled kernel vs the strike-lane
 // kernel, reporting strikes/second, lane occupancy (filled slots over
 // offered slots, from the engine's metrics counters) and the lane/scalar
-// speedup. Results are emitted to BENCH_campaign.json (path overridable
-// via argv[1]) for ci/check-perf.sh's regression ratchet.
+// speedup. A lane-kernel run takes ~15 ms, so one timing swung the
+// speedup between 38× and 66× over 20 runs; each config's rate is the
+// median of 9 rounds taken round-robin (rotating the first config), and
+// every run must reproduce the first run's report (the scalar jobs-1
+// one). Results are emitted to BENCH_campaign.json (path overridable via
+// argv[1]) for ci/check-perf.sh's regression ratchet.
 //
 // Part C (schemes): runs the same C880 plan per registered
 // ProtectionScheme (cwsp, tmr, loco) on the lane kernel, checking each
@@ -98,6 +102,12 @@ campaign::EngineOptions options_for(const Config& config, std::uint64_t seed,
   options.use_lane_kernel = config.lanes;
   options.lane_width = config.lane_width;
   return options;
+}
+
+double median(std::vector<double> values) {
+  std::nth_element(values.begin(), values.begin() + values.size() / 2,
+                   values.end());
+  return values[values.size() / 2];
 }
 
 std::string occupancy_cell(double occupancy) {
@@ -205,55 +215,63 @@ int main(int argc, char** argv) {
       {"lane-auto", true, 0, 8},
   };
 
+  constexpr std::size_t kThroughputRounds = 9;
+  std::vector<std::vector<double>> seconds(throughput_configs.size());
+  std::vector<double> occupancy(throughput_configs.size(), -1.0);
+  std::string big_baseline;
+  for (std::size_t round = 0; round < kThroughputRounds; ++round) {
+    // Each round starts at the next config, so none always runs first.
+    for (std::size_t k = 0; k < throughput_configs.size(); ++k) {
+      const std::size_t i = (round + k) % throughput_configs.size();
+      const Config& config = throughput_configs[i];
+      const auto stats = run_once(c880_engine, c880_plan, c880, c880_period,
+                                  options_for(config, 2026, 10));
+      if (big_baseline.empty()) big_baseline = stats.json;
+      if (stats.json != big_baseline) {
+        std::cerr << "FATAL: C880 report changed with kernel=" << config.kernel
+                  << " jobs=" << config.jobs << "\n";
+        return 1;
+      }
+      seconds[i].push_back(stats.seconds);
+      occupancy[i] = stats.lane_occupancy;
+    }
+  }
+
   TextTable throughput_table;
   throughput_table.set_header({"Kernel", "Jobs", "Strikes", "Wall s",
                                "Strikes/s", "Speedup", "Occupancy", "Report"});
-  std::string big_baseline;
-  double scalar_rate = 0.0;
-  double lane_j1_rate = 0.0;
-  double lane_j1_occupancy = -1.0;
+  const auto rate_of = [&](std::size_t i) {
+    return static_cast<double>(c880_plan.size()) / median(seconds[i]);
+  };
+  const double scalar_rate = rate_of(0);
+  const double lane_j1_rate = rate_of(1);
+  const double lane_j1_occupancy = occupancy[1];
   std::ostringstream rows_json;
-  bool first_row = true;
-  for (const Config& config : throughput_configs) {
-    const auto stats = run_once(c880_engine, c880_plan, c880, c880_period,
-                                options_for(config, 2026, 10));
-    if (!config.lanes) scalar_rate = stats.strikes_per_second;
-    if (config.lanes && config.jobs == 1) {
-      lane_j1_rate = stats.strikes_per_second;
-      lane_j1_occupancy = stats.lane_occupancy;
-    }
-    if (big_baseline.empty()) big_baseline = stats.json;
-    const bool same = stats.json == big_baseline;
+  for (std::size_t i = 0; i < throughput_configs.size(); ++i) {
+    const Config& config = throughput_configs[i];
+    const double wall = median(seconds[i]);
     throughput_table.add_row(
         {config.kernel, std::to_string(config.jobs),
-         std::to_string(c880_plan.size()), TextTable::num(stats.seconds, 2),
-         TextTable::num(stats.strikes_per_second, 1),
-         TextTable::num(stats.strikes_per_second / scalar_rate, 1) + "x",
-         occupancy_cell(stats.lane_occupancy),
-         same ? "identical" : "DIVERGED"});
-    if (!same) {
-      std::cerr << "FATAL: C880 report changed with kernel=" << config.kernel
-                << " jobs=" << config.jobs << "\n";
-      return 1;
-    }
-    if (!first_row) rows_json << ",\n";
-    first_row = false;
+         std::to_string(c880_plan.size()), TextTable::num(wall, 3),
+         TextTable::num(rate_of(i), 1),
+         TextTable::num(rate_of(i) / scalar_rate, 1) + "x",
+         occupancy_cell(occupancy[i]), "identical"});
+    if (i != 0) rows_json << ",\n";
     rows_json << "    {\"kernel\": \"" << config.kernel
               << "\", \"jobs\": " << config.jobs
-              << ", \"strikes_per_second\": "
-              << TextTable::num(stats.strikes_per_second, 1)
-              << ", \"wall_s\": " << TextTable::num(stats.seconds, 3)
+              << ", \"strikes_per_second\": " << TextTable::num(rate_of(i), 1)
+              << ", \"wall_s\": " << TextTable::num(wall, 3)
               << ", \"lane_occupancy\": "
-              << (stats.lane_occupancy < 0.0
-                      ? std::string("null")
-                      : TextTable::num(stats.lane_occupancy, 4))
+              << (occupancy[i] < 0.0 ? std::string("null")
+                                     : TextTable::num(occupancy[i], 4))
               << "}";
   }
 
   const double speedup = lane_j1_rate / scalar_rate;
   std::cout << "Part B — strike-lane throughput on C880 (ISCAS85, "
             << c880_plan.size() << " strikes, 1920 functional + 128 "
-               "out-of-envelope):\n\n";
+               "out-of-envelope, median of "
+            << kThroughputRounds << " rounds):\n\n";
   throughput_table.print(std::cout);
   std::cout << "\nSingle-job lane speedup (lane-auto vs scalar compiled): "
             << TextTable::num(speedup, 1) << "x at "
@@ -292,10 +310,7 @@ int main(int argc, char** argv) {
   std::vector<double> scheme_median;
   double cwsp_rate = 0.0;
   for (std::size_t i = 0; i < schemes.size(); ++i) {
-    std::vector<double>& rates = scheme_rates[i];
-    std::nth_element(rates.begin(), rates.begin() + rates.size() / 2,
-                     rates.end());
-    scheme_median.push_back(rates[rates.size() / 2]);
+    scheme_median.push_back(median(scheme_rates[i]));
     if (std::string(schemes[i]->name()) == "cwsp") {
       cwsp_rate = scheme_median.back();
     }

@@ -17,6 +17,9 @@
 #include "cwsp/harden.hpp"
 #include "cwsp/protection_sim.hpp"
 #include "cwsp/timing.hpp"
+#include "netlist/writer.hpp"
+#include "service/json.hpp"
+#include "service/session.hpp"
 #include "set/strike_plan.hpp"
 #include "sim/compiled_kernel.hpp"
 #include "sim/logic_sim.hpp"
@@ -335,6 +338,39 @@ void BM_FormatCertifyJson(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_FormatCertifyJson);
+
+void BM_ServiceIngestHit(benchmark::State& state) {
+  // What the daemon does with a result-cache hit before it queues it:
+  // parse a C7552-size request line (~400 KB, the design inline) and
+  // resolve the design key against the resident session, which compares
+  // bytes instead of hashing; bytes/s is request-line bytes.
+  static const std::string text =
+      to_bench_string(bench::clone_with_output_flip_flops(
+          bench::generate_benchmark(bench::find_benchmark("C7552"), library())
+              .netlist));
+  static service::SessionCache cache;
+  static const std::uint64_t key = [] {
+    auto shared = std::make_shared<const std::string>(text);
+    const std::uint64_t k = cache.key_of("c7552", *shared);
+    (void)cache.get_or_build("c7552", shared, k, library());
+    return k;
+  }();
+  const std::string line =
+      R"({"op":"campaign","runs":32,"cycles":10,"adversarial":true,)"
+      R"("design_name":"c7552","design":")" +
+      service::json::escape(text) + R"(","seed":1})";
+  for (auto _ : state) {
+    const service::json::Value request = service::json::parse(line);
+    const auto design = request.shared_text("design");
+    if (cache.key_of(request.text("design_name", ""), *design) != key) {
+      state.SkipWithError("design key differs from the resident session's");
+      break;
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(line.size()));
+}
+BENCHMARK(BM_ServiceIngestHit);
 
 void BM_FailpointInactive(benchmark::State& state) {
   // The disarmed failpoint gate (docs/chaos.md): with nothing configured

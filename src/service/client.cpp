@@ -93,42 +93,23 @@ Client::~Client() {
 }
 
 void Client::send_line(const std::string& line) {
-  std::string payload = line;
-  if (payload.empty() || payload.back() != '\n') payload.push_back('\n');
-  std::size_t sent = 0;
-  while (sent < payload.size()) {
-    const ssize_t n = ::send(fd_, payload.data() + sent,
-                             payload.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) throw Error("connection to server lost while sending");
-    sent += static_cast<std::size_t>(n);
+  const bool terminated = !line.empty() && line.back() == '\n';
+  if (!net::send_all(fd_, line, terminated ? "" : "\n")) {
+    throw Error("connection to server lost while sending");
   }
 }
 
 bool Client::read_line(std::string& line) {
-  for (;;) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-    if (n <= 0) return false;
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+  while (!framer_.next(line)) {
+    if (!framer_.fill(fd_)) return false;
   }
+  return true;
 }
 
 Client::ReadStatus Client::read_line_for(std::string& line,
                                          double timeout_ms) {
   const auto deadline = Stopwatch::deadline_after(timeout_ms);
-  for (;;) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      return ReadStatus::kLine;
-    }
+  while (!framer_.next(line)) {
     const auto now = Stopwatch::Clock::now();
     if (now >= deadline) return ReadStatus::kTimeout;
     const auto remaining =
@@ -141,11 +122,9 @@ Client::ReadStatus Client::read_line_for(std::string& line,
       return ReadStatus::kClosed;
     }
     if (rc == 0) return ReadStatus::kTimeout;
-    char chunk[4096];
-    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-    if (n <= 0) return ReadStatus::kClosed;
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+    if (!framer_.fill(fd_)) return ReadStatus::kClosed;
   }
+  return ReadStatus::kLine;
 }
 
 }  // namespace cwsp::service

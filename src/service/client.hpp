@@ -16,6 +16,8 @@
 #include <memory>
 #include <string>
 
+#include "service/net.hpp"
+
 namespace cwsp::service {
 
 struct DialOptions {
@@ -69,7 +71,7 @@ class Client {
 
  private:
   int fd_ = -1;
-  std::string buffer_;
+  net::LineFramer framer_;
 };
 
 }  // namespace cwsp::service

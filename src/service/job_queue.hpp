@@ -25,6 +25,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -47,9 +48,13 @@ struct Job {
   std::string op;
   json::Value request;
   /// Resolved design payload (admission reads design_path / inline text
-  /// up front so workers never touch the filesystem mid-job).
+  /// up front so workers never touch the filesystem mid-job). Inline
+  /// text is the parsed request's own string, shared rather than copied.
   std::string design_name;
-  std::string design_text;
+  std::shared_ptr<const std::string> design_text;
+  /// design_key(design_name, *design_text), resolved once at admission
+  /// (SessionCache::key_of); 0 for sleep and lint.
+  std::uint64_t design_key = 0;
   /// Client deadline budget, ms (0 = none). Deadline-carrying jobs never
   /// coalesce (their outcome is wall-clock dependent).
   double deadline_ms = 0.0;

@@ -1,13 +1,43 @@
 #include "service/json.hpp"
 
+#include <bit>
 #include <cctype>
 #include <cstdlib>
+#include <cstring>
 
 namespace cwsp::service::json {
 namespace {
 
 [[noreturn]] void fail(const std::string& what, std::size_t at) {
   throw ParseError("json: " + what + " at offset " + std::to_string(at));
+}
+
+/// Index of the first '"' or '\\' in text[from, end), or `end`. Tests
+/// eight bytes at a time for a byte equal to either (SWAR zero-byte test,
+/// exact for the word as a whole), then locates it within the word.
+std::size_t find_quote_or_backslash(const char* text, std::size_t from,
+                                    std::size_t end) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr std::uint64_t kHighs = 0x8080808080808080ULL;
+  std::size_t i = from;
+  for (; i + 8 <= end; i += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, text + i, 8);
+    const std::uint64_t quote = word ^ (kOnes * '"');
+    const std::uint64_t slash = word ^ (kOnes * '\\');
+    const std::uint64_t hit =
+        (((quote - kOnes) & ~quote) | ((slash - kOnes) & ~slash)) & kHighs;
+    if (hit != 0) {
+      // The lowest flagged byte is always a true match, so on
+      // little-endian targets it is the answer.
+      if constexpr (std::endian::native == std::endian::little) {
+        return i + static_cast<std::size_t>(std::countr_zero(hit)) / 8;
+      }
+      break;
+    }
+  }
+  while (i < end && text[i] != '"' && text[i] != '\\') ++i;
+  return i;
 }
 
 class Parser {
@@ -130,13 +160,14 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
+      // Every byte but '"' and '\\' stands for itself (raw control bytes
+      // included): append the run before the next of those in one call.
+      const std::size_t stop =
+          find_quote_or_backslash(text_.data(), pos_, text_.size());
+      out.append(text_, pos_, stop - pos_);
+      pos_ = stop;
       if (pos_ >= text_.size()) fail("unterminated string", pos_);
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (text_[pos_++] == '"') return out;
       if (pos_ >= text_.size()) fail("unterminated escape", pos_);
       const char e = text_[pos_++];
       switch (e) {
@@ -267,6 +298,13 @@ double Value::number(const std::string& key, double fallback) const {
 bool Value::boolean(const std::string& key, bool fallback) const {
   const Value* v = find(key);
   return v == nullptr ? fallback : v->as_bool();
+}
+
+std::shared_ptr<const std::string> Value::shared_text(
+    const std::string& key) const {
+  const Value* v = find(key);
+  if (v == nullptr) return nullptr;
+  return {object_, &v->as_string()};  // aliasing: owns the whole object
 }
 
 Value Value::make_bool(bool b) {

@@ -57,6 +57,10 @@ class Value {
                                  const std::string& fallback) const;
   [[nodiscard]] double number(const std::string& key, double fallback) const;
   [[nodiscard]] bool boolean(const std::string& key, bool fallback) const;
+  /// The string member `key` without a copy: the pointer shares ownership
+  /// of this object's members. nullptr when absent; throws like text().
+  [[nodiscard]] std::shared_ptr<const std::string> shared_text(
+      const std::string& key) const;
 
   static Value make_null() { return Value{}; }
   static Value make_bool(bool b);

@@ -7,8 +7,10 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -144,6 +146,62 @@ int tcp_listen(const Endpoint& endpoint, std::uint16_t* bound_port) {
     *bound_port = ntohs(bound.sin_port);
   }
   return fd;
+}
+
+bool LineFramer::next(std::string& line) {
+  const std::size_t newline = buffer_.find('\n', scanned_);
+  if (newline == std::string::npos) {
+    scanned_ = buffer_.size();
+    return false;
+  }
+  if (newline + 1 < buffer_.size()) {  // more follows: copy the line out
+    line.assign(buffer_, start_, newline - start_);
+    start_ = scanned_ = newline + 1;
+    return true;
+  }
+  // The line ends the buffer: hand the buffer itself out.
+  buffer_.resize(newline);
+  buffer_.erase(0, start_);
+  line.swap(buffer_);
+  buffer_.clear();
+  start_ = scanned_ = 0;
+  return true;
+}
+
+void LineFramer::recycle(std::string& line) {
+  if (!buffer_.empty()) return;  // it holds the next line's bytes
+  line.clear();
+  line.swap(buffer_);
+}
+
+bool LineFramer::fill(int fd) {
+  if (start_ > 0) {  // drop the lines already handed out
+    buffer_.erase(0, start_);
+    scanned_ -= start_;
+    start_ = 0;
+  }
+  char chunk[64 * 1024];
+  const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+  if (n <= 0) return false;
+  buffer_.append(chunk, static_cast<std::size_t>(n));
+  return true;
+}
+
+bool send_all(int fd, std::string_view head, std::string_view tail) {
+  while (!head.empty() || !tail.empty()) {
+    iovec iov[2] = {{const_cast<char*>(head.data()), head.size()},
+                    {const_cast<char*>(tail.data()), tail.size()}};
+    msghdr message{};
+    message.msg_iov = iov;
+    message.msg_iovlen = 2;
+    const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    const auto sent = static_cast<std::size_t>(n);
+    const std::size_t from_head = std::min(sent, head.size());
+    head.remove_prefix(from_head);
+    tail.remove_prefix(sent - from_head);
+  }
+  return true;
 }
 
 }  // namespace cwsp::service::net

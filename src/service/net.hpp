@@ -1,16 +1,47 @@
 #pragma once
-// TCP endpoint plumbing for the analysis service and the campaign
-// fabric: endpoint parsing, connect-with-timeout and listener setup.
+// Socket plumbing for the analysis service and the campaign fabric:
+// endpoint parsing, connect-with-timeout, listener setup, and the NDJSON
+// line framing and sending that Server and Client share.
 //
 // The NDJSON protocol is transport-agnostic (one request line, one
-// response line); these helpers only produce connected/listening file
+// response line); the TCP helpers only produce connected/listening file
 // descriptors, which Server and Client then treat exactly like the Unix
 // socket ones.
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace cwsp::service::net {
+
+/// Splits a byte stream into '\n'-terminated lines. Each fill() is one
+/// read(2) of up to 64 KB; the newline search resumes where the last one
+/// stopped; a line that ends the buffered bytes is handed out by swapping
+/// buffers, and one with bytes behind it is copied. Framing a line
+/// therefore costs O(its length) however the peer splits its writes.
+class LineFramer {
+ public:
+  /// Moves the next complete line, without its '\n', into `line`; false
+  /// when none is buffered. `line`'s old storage may become the buffer.
+  [[nodiscard]] bool next(std::string& line);
+  /// Takes a handed-out line's storage back as the (empty) buffer, so a
+  /// reader that recycles each line keeps a single allocation.
+  void recycle(std::string& line);
+  /// Appends one read(2) from `fd`; false on EOF or error.
+  [[nodiscard]] bool fill(int fd);
+  /// Bytes buffered behind the last complete line.
+  [[nodiscard]] std::size_t pending() const { return buffer_.size() - start_; }
+
+ private:
+  std::string buffer_;
+  std::size_t start_ = 0;    // first byte not yet handed out
+  std::size_t scanned_ = 0;  // [start_, scanned_) holds no '\n'
+};
+
+/// Writes `head` then `tail` to `fd` without joining them (one sendmsg
+/// per partial write); false once the peer is gone. Never raises SIGPIPE.
+[[nodiscard]] bool send_all(int fd, std::string_view head,
+                            std::string_view tail = {});
 
 struct Endpoint {
   std::string host;

@@ -39,16 +39,18 @@ int priority_of(const json::Value& request) {
 constexpr double kMaxSleepMs = 60'000.0;
 
 /// Fills the job's design fields from `design_path` / `design` (+
-/// optional `design_name`). Throws ParseError when absent or unreadable.
+/// optional `design_name`); inline text stays shared with the request.
+/// Throws ParseError when absent or unreadable.
 void resolve_design(const json::Value& request, Job& job) {
   if (const json::Value* path = request.find("design_path")) {
     job.design_name = design_name_from_path(path->as_string());
-    job.design_text = read_design_file(path->as_string());
+    job.design_text = std::make_shared<const std::string>(
+        read_design_file(path->as_string()));
     return;
   }
-  if (const json::Value* text = request.find("design")) {
+  if (auto text = request.shared_text("design")) {
     job.design_name = request.text("design_name", "bench");
-    job.design_text = text->as_string();
+    job.design_text = std::move(text);
     return;
   }
   throw ParseError("request needs 'design_path' or inline 'design' text");
@@ -389,39 +391,38 @@ void Server::reap_finished_readers() {
 }
 
 void Server::reader_loop(std::shared_ptr<Connection> conn) {
-  std::string buffer;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::read(conn->fd, chunk, sizeof(chunk));
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
+  net::LineFramer framer;
+  std::string line;
+  // A line over the frame bound is never admitted, whether it arrived
+  // whole or is still unterminated after a read: answer once with a typed
+  // error and drop the connection instead of buffering an unbounded
+  // (possibly adversarial) frame.
+  bool oversized = false;
+  while (!oversized && framer.fill(conn->fd)) {
+    while (framer.next(line)) {
+      if (line.size() > options_.max_frame_bytes) {
+        oversized = true;
+        break;
+      }
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
       // Chaos: a garbled inbound frame must surface as a typed
       // bad_request, never crash a reader or corrupt admission.
       failpoint::mutate("service.read_line", line);
       handle_line(conn, line);
+      framer.recycle(line);  // one read buffer per connection, reused
     }
-    // A line still unterminated past the frame bound will never be
-    // admitted; answer once with a typed error and drop the connection
-    // instead of buffering an unbounded (possibly adversarial) frame.
-    if (buffer.size() > options_.max_frame_bytes) {
-      metrics::Registry::global()
-          .counter("service.requests.oversized_frame")
-          .add();
-      send_line(conn,
-                std::string("{\"id\":\"\"") +
-                    error_tail("", "bad_request",
-                               "request line exceeds the " +
-                                   std::to_string(options_.max_frame_bytes) +
-                                   "-byte frame limit") +
-                    "\n");
-      break;
-    }
+    oversized = oversized || framer.pending() > options_.max_frame_bytes;
+  }
+  if (oversized) {
+    metrics::Registry::global()
+        .counter("service.requests.oversized_frame")
+        .add();
+    respond(conn, "",
+            error_tail("", "bad_request",
+                       "request line exceeds the " +
+                           std::to_string(options_.max_frame_bytes) +
+                           "-byte frame limit"));
   }
   // Connection is gone: stop queued work addressed to it and retire the
   // socket. The fd is closed under the write mutex so a worker can never
@@ -458,18 +459,16 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     if (op == "ping") {
       // Deliberately exempt from auth: liveness probes (fabric
       // heartbeats) must work without distributing the secret.
-      send_line(conn, "{\"id\":\"" + json::escape(id) + '"' +
-                          ok_tail(op, "text", "pong", "") + "\n");
+      respond(conn, id, ok_tail(op, "text", "pong", ""));
       return;
     }
     if (conn->untrusted && !options_.auth_token.empty() &&
         !constant_time_equal(request.text("auth", ""),
                              options_.auth_token)) {
       registry.counter("service.requests.unauthorized").add();
-      send_line(conn, "{\"id\":\"" + json::escape(id) + '"' +
-                          error_tail(op, "unauthorized",
-                                     "missing or invalid 'auth' token") +
-                          "\n");
+      respond(conn, id,
+              error_tail(op, "unauthorized",
+                         "missing or invalid 'auth' token"));
       return;
     }
     if (op == "failpoints") {
@@ -483,22 +482,15 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
         failpoints.configure(
             spec, bounded<std::uint64_t>(request, "seed", 1, kSeed));
       }
-      send_line(conn, "{\"id\":\"" + json::escape(id) + '"' +
-                          ok_tail(op, "json", failpoints.to_json() + "\n",
-                                  "") +
-                          "\n");
+      respond(conn, id, ok_tail(op, "json", failpoints.to_json() + "\n", ""));
       return;
     }
     if (op == "metrics") {
-      send_line(conn,
-                "{\"id\":\"" + json::escape(id) + '"' +
-                    ok_tail(op, "json", registry.to_json() + "\n", "") +
-                    "\n");
+      respond(conn, id, ok_tail(op, "json", registry.to_json() + "\n", ""));
       return;
     }
     if (op == "shutdown") {
-      send_line(conn, "{\"id\":\"" + json::escape(id) + '"' +
-                          ok_tail(op, "text", "shutting down", "") + "\n");
+      respond(conn, id, ok_tail(op, "text", "shutting down", ""));
       request_shutdown();
       return;
     }
@@ -514,19 +506,15 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
         throw ParseError("worker_register needs an 'endpoint'");
       }
       const std::size_t count = registry_.upsert(endpoint);
-      send_line(conn, "{\"id\":\"" + json::escape(id) + '"' +
-                          ok_tail(op, "text", "registered",
-                                  ",\"workers\":" + std::to_string(count)) +
-                          "\n");
+      respond(conn, id,
+              ok_tail(op, "text", "registered",
+                      ",\"workers\":" + std::to_string(count)));
       return;
     }
     if (op == "workers") {
-      send_line(conn,
-                "{\"id\":\"" + json::escape(id) + '"' +
-                    ok_tail(op, "json",
-                            registry_.to_json(options_.worker_ttl_ms) + "\n",
-                            "") +
-                    "\n");
+      respond(conn, id,
+              ok_tail(op, "json",
+                      registry_.to_json(options_.worker_ttl_ms) + "\n", ""));
       return;
     }
 
@@ -545,7 +533,11 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     job.request = request;
     if (op != "sleep") {
       resolve_design(request, job);
-      const std::uint64_t dkey = design_key(job.design_name, job.design_text);
+      // Lint decodes its own design and is never cached: it needs no key.
+      if (op != "lint") {
+        job.design_key = sessions_.key_of(job.design_name, *job.design_text);
+      }
+      const std::uint64_t dkey = job.design_key;
       if (op == "campaign") {
         const auto spec = decode<CampaignSpec>(request);
         // A timed campaign may legitimately stop early ("interrupted"),
@@ -602,12 +594,10 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
       }
       if (estimate_us > deadline_ms * 1000.0) {
         registry.counter("service.deadline.shed").add();
-        send_line(conn,
-                  "{\"id\":\"" + json::escape(id) + '"' +
-                      error_tail(op, "overloaded",
-                                 "p99 queue wait + execution latency "
-                                 "exceed the deadline; shed at admission") +
-                      "\n");
+        respond(conn, id,
+                error_tail(op, "overloaded",
+                           "p99 queue wait + execution latency "
+                           "exceed the deadline; shed at admission"));
         return;
       }
       registry.counter("service.deadline.admitted").add();
@@ -622,27 +612,21 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     CWSP_FAILPOINT("service.enqueue");
     if (!queue_.try_push(std::move(job))) {
       if (shutting_down_.load()) {
-        send_line(conn, "{\"id\":\"" + json::escape(id) + '"' +
-                            error_tail(op, "shutdown",
-                                       "server is shutting down") +
-                            "\n");
+        respond(conn, id,
+                error_tail(op, "shutdown", "server is shutting down"));
       } else {
-        send_line(conn, "{\"id\":\"" + json::escape(id) + '"' +
-                            error_tail(op, "queue_full",
-                                       "job queue is at capacity; retry "
-                                       "later or lower the request rate") +
-                            "\n");
+        respond(conn, id,
+                error_tail(op, "queue_full",
+                           "job queue is at capacity; retry "
+                           "later or lower the request rate"));
       }
     }
   } catch (const ParseError& e) {
-    send_line(conn, "{\"id\":\"" + json::escape(id) + '"' +
-                        error_tail(op, "bad_request", e.what()) + "\n");
+    respond(conn, id, error_tail(op, "bad_request", e.what()));
   } catch (const failpoint::InjectedFault& e) {
-    send_line(conn, "{\"id\":\"" + json::escape(id) + '"' +
-                        error_tail(op, "injected_fault", e.what()) + "\n");
+    respond(conn, id, error_tail(op, "injected_fault", e.what()));
   } catch (const std::exception& e) {
-    send_line(conn, "{\"id\":\"" + json::escape(id) + '"' +
-                        error_tail(op, "internal", e.what()) + "\n");
+    respond(conn, id, error_tail(op, "internal", e.what()));
   }
 }
 
@@ -656,9 +640,7 @@ void Server::handle_cancel(const std::shared_ptr<Connection>& conn,
     // The queued job never ran; answer it, then acknowledge.
     respond(job->conn_id, job->id,
             error_tail(job->op, "cancelled", "cancelled while queued"));
-    send_line(conn, "{\"id\":\"" + json::escape(id) + '"' +
-                        ok_tail("cancel", "text", "cancelled-queued", "") +
-                        "\n");
+    respond(conn, id, ok_tail("cancel", "text", "cancelled-queued", ""));
     metrics::Registry::global().counter("service.cancelled.queued").add();
     return;
   }
@@ -684,18 +666,13 @@ void Server::handle_cancel(const std::shared_ptr<Connection>& conn,
     if (abort != nullptr) abort->cancel();
     respond(conn->id, target,
             error_tail(op, "cancelled", "cancelled in flight"));
-    send_line(conn,
-              "{\"id\":\"" + json::escape(id) + '"' +
-                  ok_tail("cancel", "text", "cancelling-inflight", "") +
-                  "\n");
+    respond(conn, id, ok_tail("cancel", "text", "cancelling-inflight", ""));
     metrics::Registry::global().counter("service.cancelled.inflight").add();
     return;
   }
-  send_line(conn, "{\"id\":\"" + json::escape(id) + '"' +
-                      error_tail("cancel", "not_found",
-                                 "no queued or in-flight request '" +
-                                     target + "'") +
-                      "\n");
+  respond(conn, id,
+          error_tail("cancel", "not_found",
+                     "no queued or in-flight request '" + target + "'"));
 }
 
 void Server::worker_loop() {
@@ -838,7 +815,8 @@ std::string Server::execute_job(const Job& job, sim::CancelToken* cancel) {
     }
 
     const std::shared_ptr<const DesignSession> session =
-        sessions_.get_or_build(job.design_name, job.design_text, *library_);
+        sessions_.get_or_build(job.design_name, job.design_text,
+                               job.design_key, *library_);
 
     if (job.op == "sta") {
       return ok_tail(job.op, "text", run_sta_report(*session), "");
@@ -879,7 +857,7 @@ std::string Server::execute_job(const Job& job, sim::CancelToken* cancel) {
     if (spec.distribute && options_.distributed_campaign) {
       const std::vector<std::string> workers =
           registry_.live(options_.worker_ttl_ms);
-      outcome = options_.distributed_campaign(*session, job.design_text,
+      outcome = options_.distributed_campaign(*session, *job.design_text,
                                               spec, workers);
     } else {
       outcome = run_campaign(*session, spec, cancel);
@@ -908,23 +886,17 @@ void Server::respond(std::uint64_t conn_id, const std::string& id,
                      const std::string& envelope_tail) {
   const std::shared_ptr<Connection> conn = find_connection(conn_id);
   if (conn == nullptr) return;
-  send_line(conn, "{\"id\":\"" + json::escape(id) + '"' + envelope_tail +
-                      "\n");
+  respond(conn, id, envelope_tail);
 }
 
-void Server::send_line(const std::shared_ptr<Connection>& conn,
-                       const std::string& line) {
+void Server::respond(const std::shared_ptr<Connection>& conn,
+                     const std::string& id,
+                     const std::string& envelope_tail) {
+  const std::string line =
+      "{\"id\":\"" + json::escape(id) + '"' + envelope_tail + "\n";
   std::lock_guard<std::mutex> lock(conn->write_mutex);
-  if (!conn->open.load()) return;
-  std::size_t sent = 0;
-  while (sent < line.size()) {
-    const ssize_t n = ::send(conn->fd, line.data() + sent,
-                             line.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      conn->open.store(false);
-      return;
-    }
-    sent += static_cast<std::size_t>(n);
+  if (conn->open.load() && !net::send_all(conn->fd, line)) {
+    conn->open.store(false);
   }
 }
 

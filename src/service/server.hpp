@@ -61,9 +61,10 @@ struct ServerOptions {
   /// ("host:port"; port 0 picks an ephemeral port, readable via
   /// tcp_port()) — the fabric's worker/coordinator transport.
   std::string tcp_endpoint;
-  /// Largest accepted NDJSON request line; a connection that exceeds it
-  /// without a newline gets a `bad_request` and is closed instead of
-  /// growing the buffer without bound.
+  /// Largest accepted NDJSON request line; a connection whose line
+  /// exceeds it, finished or still without a newline after a read, gets
+  /// a `bad_request` and is closed instead of growing the buffer without
+  /// bound.
   std::size_t max_frame_bytes = 8ull * 1024 * 1024;
   /// Registry eviction deadline: a worker that has not re-registered
   /// within this window is dropped from `live()` snapshots.
@@ -190,10 +191,12 @@ class Server {
   [[nodiscard]] std::string execute_job(const Job& job,
                                         sim::CancelToken* cancel);
 
+  /// Sends {"id":"<id>"<envelope_tail>}\n on the connection (dropped
+  /// when the connection is gone).
   void respond(std::uint64_t conn_id, const std::string& id,
                const std::string& envelope_tail);
-  void send_line(const std::shared_ptr<Connection>& conn,
-                 const std::string& line);
+  void respond(const std::shared_ptr<Connection>& conn,
+               const std::string& id, const std::string& envelope_tail);
 
   [[nodiscard]] std::shared_ptr<Connection> find_connection(
       std::uint64_t conn_id);

@@ -1,5 +1,6 @@
 #include "service/session.hpp"
 
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -12,10 +13,11 @@
 namespace cwsp::service {
 namespace {
 
-/// Rough per-session footprint: the dominant arrays all scale with net
-/// and gate counts (netlist records, CSR adjacency, arrival windows,
-/// truth tables). The constants are deliberately generous — the bound
-/// exists to stop unbounded growth, not to account bytes exactly.
+/// Rough per-session footprint: the source text (which a SessionCache
+/// entry keeps) plus the dominant arrays, which all scale with net and
+/// gate counts (netlist records, CSR adjacency, arrival windows, truth
+/// tables). The constants are deliberately generous — the bound exists
+/// to stop unbounded growth, not to account bytes exactly.
 std::size_t estimate_bytes(const Netlist& netlist, const std::string& text) {
   return text.size() + netlist.num_nets() * 256 + netlist.num_gates() * 128 +
          64 * 1024;
@@ -58,8 +60,14 @@ std::shared_ptr<const DesignSession> load_design_session(
 std::shared_ptr<const DesignSession> DesignSession::build(
     const std::string& design_name, const std::string& text,
     const CellLibrary& library) {
+  return build(design_name, text, design_key(design_name, text), library);
+}
+
+std::shared_ptr<const DesignSession> DesignSession::build(
+    const std::string& design_name, const std::string& text,
+    std::uint64_t key, const CellLibrary& library) {
   auto session = std::make_shared<DesignSession>();
-  session->key = design_key(design_name, text);
+  session->key = key;
   session->name = design_name;
   try {
     session->netlist = std::make_unique<const Netlist>(
@@ -85,11 +93,27 @@ std::shared_ptr<const DesignSession> DesignSession::build(
 SessionCache::SessionCache(const SessionCacheOptions& options)
     : options_(options) {}
 
-std::shared_ptr<const DesignSession> SessionCache::get_or_build(
-    const std::string& name, const std::string& text,
-    const CellLibrary& library) {
+std::uint64_t SessionCache::key_of(const std::string& name,
+                                   const std::string& text) const {
   auto& registry = metrics::Registry::global();
-  const std::uint64_t key = design_key(name, text);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const Entry& entry : lru_) {
+      if (entry.session->name == name && entry.text->size() == text.size() &&
+          std::memcmp(entry.text->data(), text.data(), text.size()) == 0) {
+        registry.counter("service.sessions.keys_reused").add();
+        return entry.session->key;
+      }
+    }
+  }
+  registry.counter("service.sessions.keys_hashed").add();
+  return design_key(name, text);
+}
+
+std::shared_ptr<const DesignSession> SessionCache::get_or_build(
+    const std::string& name, std::shared_ptr<const std::string> text,
+    std::uint64_t key, const CellLibrary& library) {
+  auto& registry = metrics::Registry::global();
   // Chaos: forced full eviction — every lookup becomes a cold rebuild,
   // which must change latency but never any response byte.
   if (failpoint::fires("service.session.evict")) {
@@ -100,12 +124,9 @@ std::shared_ptr<const DesignSession> SessionCache::get_or_build(
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-      if ((*it)->key == key) {
-        lru_.splice(lru_.begin(), lru_, it);
-        registry.counter("service.sessions.hits").add();
-        return lru_.front();
-      }
+    if (auto hit = touch_locked(key)) {
+      registry.counter("service.sessions.hits").add();
+      return hit;
     }
   }
   registry.counter("service.sessions.misses").add();
@@ -113,16 +134,12 @@ std::shared_ptr<const DesignSession> SessionCache::get_or_build(
   // expensive part, and concurrent misses on different designs must not
   // serialize on each other.
   std::shared_ptr<const DesignSession> session =
-      DesignSession::build(name, text, library);
+      DesignSession::build(name, *text, key, library);
 
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    if ((*it)->key == key) {  // lost a build race; keep the first insert
-      lru_.splice(lru_.begin(), lru_, it);
-      return lru_.front();
-    }
-  }
-  lru_.push_front(session);
+  // Lost a build race? Keep the first insert.
+  if (auto first = touch_locked(key)) return first;
+  lru_.push_front(Entry{session, std::move(text)});
   resident_bytes_ += session->approx_bytes;
   evict_locked();
   registry.gauge("service.sessions.entries")
@@ -142,12 +159,23 @@ std::size_t SessionCache::resident_bytes() const {
   return resident_bytes_;
 }
 
+std::shared_ptr<const DesignSession> SessionCache::touch_locked(
+    std::uint64_t key) {
+  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+    if (it->session->key == key) {
+      lru_.splice(lru_.begin(), lru_, it);
+      return it->session;
+    }
+  }
+  return nullptr;
+}
+
 void SessionCache::evict_locked() {
   auto& evictions = metrics::Registry::global().counter(
       "service.sessions.evictions");
   while (lru_.size() > 1 && (lru_.size() > options_.max_entries ||
                              resident_bytes_ > options_.max_bytes)) {
-    resident_bytes_ -= lru_.back()->approx_bytes;
+    resident_bytes_ -= lru_.back().session->approx_bytes;
     lru_.pop_back();
     evictions.add();
   }

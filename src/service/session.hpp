@@ -49,6 +49,11 @@ struct DesignSession {
   [[nodiscard]] static std::shared_ptr<const DesignSession> build(
       const std::string& design_name, const std::string& text,
       const CellLibrary& library);
+  /// build() with the key already resolved: `key` must equal
+  /// design_key(design_name, text), which is not recomputed.
+  [[nodiscard]] static std::shared_ptr<const DesignSession> build(
+      const std::string& design_name, const std::string& text,
+      std::uint64_t key, const CellLibrary& library);
 };
 
 [[nodiscard]] std::uint64_t design_key(const std::string& name,
@@ -75,28 +80,47 @@ struct SessionCacheOptions {
   std::size_t max_bytes = 256ull * 1024 * 1024;
 };
 
-/// Thread-safe LRU over DesignSessions keyed by design content.
+/// Thread-safe LRU over DesignSessions keyed by design content. Each
+/// entry keeps the text it was built from (shared with the request that
+/// built it; the byte bound already charges it through approx_bytes), so
+/// a byte-identical text gets its key without hashing.
 class SessionCache {
  public:
   explicit SessionCache(const SessionCacheOptions& options = {});
 
-  /// Returns the cached session for (name, text), building and inserting
-  /// it on miss. Concurrent callers may build the same session twice; the
-  /// first insert wins and both get a usable session.
+  /// design_key(name, text): the key of a resident entry whose name and
+  /// text are byte-identical (length compare, then memcmp), else one
+  /// hash. Counted as service.sessions.keys_reused / keys_hashed.
+  [[nodiscard]] std::uint64_t key_of(const std::string& name,
+                                     const std::string& text) const;
+
+  /// Returns the cached session for `key`, building it from (name, *text)
+  /// and inserting it on miss. `key` must equal design_key(name, *text)
+  /// (key_of gives it); it is not recomputed. Concurrent callers may
+  /// build the same session twice; the first insert wins and both get a
+  /// usable session.
   [[nodiscard]] std::shared_ptr<const DesignSession> get_or_build(
-      const std::string& name, const std::string& text,
-      const CellLibrary& library);
+      const std::string& name, std::shared_ptr<const std::string> text,
+      std::uint64_t key, const CellLibrary& library);
 
   [[nodiscard]] std::size_t entries() const;
   [[nodiscard]] std::size_t resident_bytes() const;
 
  private:
+  struct Entry {
+    std::shared_ptr<const DesignSession> session;
+    std::shared_ptr<const std::string> text;  // what the session was built from
+  };
+
+  /// The session of the entry holding `key`, moved to the LRU front;
+  /// nullptr when none does.
+  std::shared_ptr<const DesignSession> touch_locked(std::uint64_t key);
   void evict_locked();
 
   SessionCacheOptions options_;
   mutable std::mutex mutex_;
   /// Front = most recently used.
-  std::list<std::shared_ptr<const DesignSession>> lru_;
+  std::list<Entry> lru_;
   std::size_t resident_bytes_ = 0;
 };
 

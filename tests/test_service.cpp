@@ -4,9 +4,12 @@
 // dump (docs/service.md).
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -21,6 +24,7 @@
 #include "service/client.hpp"
 #include "service/handlers.hpp"
 #include "service/json.hpp"
+#include "service/net.hpp"
 #include "service/server.hpp"
 #include "service/session.hpp"
 
@@ -35,6 +39,43 @@ std::string json_design_field() {
   return "\"design\":\"" + json::escape(kDesign) +
          "\",\"design_name\":\"demo\"";
 }
+
+/// A Unix-socket connection that writes raw bytes (Client always sends
+/// whole lines) and reads response lines.
+class RawConnection {
+ public:
+  explicit RawConnection(const std::string& path) {
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    EXPECT_EQ(::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+  }
+  ~RawConnection() { ::close(fd_); }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  void write(std::string_view bytes) {
+    EXPECT_TRUE(net::send_all(fd_, bytes));
+  }
+  bool read_line(std::string& line) {
+    while (!framer_.next(line)) {
+      if (!framer_.fill(fd_)) return false;
+    }
+    return true;
+  }
+  json::Value read_response() {
+    std::string line;
+    EXPECT_TRUE(read_line(line));
+    return json::parse(line);
+  }
+
+ private:
+  int fd_ = -1;
+  net::LineFramer framer_;
+};
 
 /// Runs a server on a fresh socket in a temp dir for the test's lifetime.
 class ServiceTest : public ::testing::Test {
@@ -380,6 +421,97 @@ TEST_F(ServiceTest, OversizedFrameIsRejectedAndConnectionClosed) {
   EXPECT_FALSE(client.read_line(line));  // connection torn down
 }
 
+// The bound holds for a frame that never ends, and for a finished line
+// that arrives in one read, however large the reads are.
+TEST_F(ServiceTest, FrameLimitHoldsWithOrWithoutANewline) {
+  start(1, 8, [](ServerOptions& options) {
+    options.max_frame_bytes = 1024;
+  });
+  const std::string frame =
+      R"({"id":"big","op":"ping","pad":")" + std::string(4096, 'x');
+  for (const std::string& bytes : {frame, frame + "\"}\n"}) {
+    RawConnection client(server_->socket_path());
+    client.write(bytes);
+    const json::Value response = client.read_response();
+    EXPECT_EQ(response.text("code", ""), "bad_request");
+    EXPECT_NE(response.text("error", "").find("frame limit"),
+              std::string::npos);
+    std::string line;
+    EXPECT_FALSE(client.read_line(line));  // connection torn down
+  }
+  // A line within the bound is still answered.
+  RawConnection client(server_->socket_path());
+  client.write(R"({"id":"small","op":"ping"})" "\n");
+  EXPECT_EQ(client.read_response().text("payload", ""), "pong");
+}
+
+// However a request's bytes are split or joined on the wire, each request
+// gets the payload a direct execution gives.
+TEST_F(ServiceTest, RequestFramingIsIndependentOfHowBytesArrive) {
+  start(1, 8);
+  const auto session = DesignSession::build("demo", kDesign, lib_);
+  const auto direct = [&](std::uint64_t seed) {
+    CampaignSpec spec;
+    spec.runs = 6;
+    spec.seed = seed;
+    return run_campaign(*session, spec).output;
+  };
+  const auto request = [](const std::string& id, std::uint64_t seed) {
+    return R"({"id":")" + id + R"(","op":"campaign","runs":6,"seed":)" +
+           std::to_string(seed) + "," + json_design_field() + "}";
+  };
+
+  {  // one byte per write
+    RawConnection client(server_->socket_path());
+    for (const char c : request("bytes", 3) + "\n") client.write({&c, 1});
+    const json::Value response = client.read_response();
+    EXPECT_EQ(response.text("id", ""), "bytes");
+    EXPECT_EQ(response.text("payload", ""), direct(3));
+  }
+  {  // two requests in one write
+    RawConnection client(server_->socket_path());
+    client.write(request("one", 4) + "\n" + request("two", 5) + "\n");
+    std::map<std::string, std::string> payloads;
+    for (int i = 0; i < 2; ++i) {
+      const json::Value response = client.read_response();
+      payloads[response.text("id", "")] = response.text("payload", "");
+    }
+    EXPECT_EQ(payloads["one"], direct(4));
+    EXPECT_EQ(payloads["two"], direct(5));
+  }
+  {  // CRLF line ending
+    RawConnection client(server_->socket_path());
+    client.write(request("crlf", 6) + "\r\n");
+    const json::Value response = client.read_response();
+    EXPECT_EQ(response.text("id", ""), "crlf");
+    EXPECT_EQ(response.text("payload", ""), direct(6));
+  }
+}
+
+TEST_F(ServiceTest, LargeInlineDesignArrivesInFourKilobytePieces) {
+  std::string design = kDesign;
+  while (design.size() < 600 * 1024) {
+    design += "# padding that makes this inline design 600 KB long\n";
+  }
+  start(1, 8);
+  const std::string line =
+      R"({"id":"big","op":"campaign","runs":6,"seed":3,"design_name":"demo",)"
+      R"("design":")" +
+      json::escape(design) + "\"}\n";
+  RawConnection client(server_->socket_path());
+  for (std::size_t at = 0; at < line.size(); at += 4096) {
+    client.write(std::string_view(line).substr(at, 4096));
+  }
+  const json::Value response = client.read_response();
+  ASSERT_TRUE(response.boolean("ok", false)) << response.text("error", "");
+  CampaignSpec spec;
+  spec.runs = 6;
+  spec.seed = 3;
+  EXPECT_EQ(response.text("payload", ""),
+            run_campaign(*DesignSession::build("demo", design, lib_), spec)
+                .output);
+}
+
 TEST_F(ServiceTest, TcpListenerSpeaksTheSameProtocol) {
   start(1, 8, [](ServerOptions& options) {
     options.tcp_endpoint = "127.0.0.1:0";  // ephemeral port
@@ -442,6 +574,76 @@ TEST_F(ServiceTest, ClientDialRetriesWithCappedBackoff) {
   std::string line;
   EXPECT_TRUE(client->read_line(line));
   EXPECT_TRUE(delays.empty());
+}
+
+// The framer behind both ends of a connection: every line comes out
+// whole, in order and without its newline, whatever the write sizes.
+TEST(LineFramer, HandsOutEveryLineWhateverTheWriteSizes) {
+  const std::vector<std::string> lines = {
+      "a", "", std::string(90'000, 'x'), "bc", std::string(70'000, 'y'),
+      "",  "z"};
+  std::string stream;
+  for (const std::string& line : lines) stream += line + "\n";
+  // Piece 0 sends each line and its newline as send_all's two parts.
+  for (const std::size_t piece : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{7}, std::size_t{4096},
+                                  std::size_t{65536}, stream.size()}) {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    std::thread writer([&] {
+      for (std::size_t at = 0; piece == 0 && at < lines.size(); ++at) {
+        EXPECT_TRUE(net::send_all(fds[1], lines[at], "\n"));
+      }
+      for (std::size_t at = 0; piece != 0 && at < stream.size(); at += piece) {
+        const std::string_view bytes =
+            std::string_view(stream).substr(at, piece);
+        EXPECT_TRUE(net::send_all(fds[1], bytes));
+      }
+      // A trailing partial line stays pending after EOF.
+      EXPECT_TRUE(net::send_all(fds[1], "tail"));
+      ::close(fds[1]);
+    });
+    net::LineFramer framer;
+    std::vector<std::string> got;
+    std::string line;
+    do {
+      while (framer.next(line)) {
+        got.push_back(line);
+        if (got.size() % 2 == 0) framer.recycle(line);  // as the server does
+      }
+    } while (framer.fill(fds[0]));
+    writer.join();
+    ::close(fds[0]);
+    EXPECT_EQ(got, lines) << "piece " << piece;
+    EXPECT_EQ(framer.pending(), 4u) << "piece " << piece;
+  }
+}
+
+// A blocked sendmsg that times out returns what it wrote so far: the
+// reader sleeps past the first timeout, so send_all must resume mid-head
+// and still deliver both parts in order.
+TEST(SendAll, DeliversBothPartsAcrossAPartialWrite) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const timeval timeout{0, 200'000};
+  ASSERT_EQ(::setsockopt(fds[1], SOL_SOCKET, SO_SNDTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  const std::string head(4 << 20, 'h');  // far beyond the socket buffer
+  std::string received;
+  std::thread reader([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    char chunk[65536];
+    for (ssize_t n; (n = ::read(fds[0], chunk, sizeof(chunk))) > 0;) {
+      received.append(chunk, static_cast<std::size_t>(n));
+    }
+  });
+  EXPECT_TRUE(net::send_all(fds[1], head, "tail\n"));
+  ::close(fds[1]);
+  reader.join();
+  ::close(fds[0]);
+  EXPECT_EQ(received.size(), head.size() + 5);
+  EXPECT_TRUE(received == head + "tail\n");
 }
 
 // Every JSON writer shares one escaper: control characters in names and
