@@ -14,6 +14,7 @@
 #include "bencharness/generator.hpp"
 #include "campaign/campaign.hpp"
 #include "common/failpoint.hpp"
+#include "common/rng.hpp"
 #include "cwsp/harden.hpp"
 #include "cwsp/protection_sim.hpp"
 #include "cwsp/timing.hpp"
@@ -285,6 +286,45 @@ void BM_ConeOfCold(benchmark::State& state) {
                           static_cast<std::int64_t>(sites.size()));
 }
 BENCHMARK(BM_ConeOfCold);
+
+void BM_ResolveStrike(benchmark::State& state) {
+  // Timed strike resolution, the lane kernel's step per lane strike, on
+  // C880: one settled golden cycle, every 7th strike site, 400 ps wide,
+  // starts spread over the clock period (the capture time); cones warm.
+  // items/s is resolutions/s.
+  const Netlist& netlist = c880();
+  static const auto context = sim::CompiledKernelContext::build(netlist);
+  const sim::CompiledEventSim esim(netlist, context);
+  const Picoseconds period =
+      core::hardened_clock_period(run_sta(netlist).dmax, library());
+  Rng rng(2026);
+  std::vector<bool> pis(netlist.primary_inputs().size());
+  std::vector<bool> ffs(netlist.num_flip_flops());
+  for (std::size_t i = 0; i < pis.size(); ++i) pis[i] = rng.next_bool();
+  for (std::size_t i = 0; i < ffs.size(); ++i) ffs[i] = rng.next_bool();
+  const sim::GoldenCycle golden = esim.golden_eval(pis, ffs);
+  std::vector<set::Strike> strikes;
+  const std::vector<NetId> sites = set::strike_sites(netlist);
+  for (std::size_t i = 0; i < sites.size(); i += 7) {
+    set::Strike strike;
+    strike.node = sites[i];
+    strike.start = Picoseconds(period.value() *
+                               static_cast<double>(strikes.size() % 16) / 16);
+    strike.width = Picoseconds(400.0);
+    strikes.push_back(strike);
+    (void)context->view->cone_of(strike.node);
+  }
+  sim::CycleResult result;
+  for (auto _ : state) {
+    for (const set::Strike& strike : strikes) {
+      esim.resolve_strike(golden, period, strike, result);
+      benchmark::DoNotOptimize(result.glitch_reached_endpoint);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(strikes.size()));
+}
+BENCHMARK(BM_ResolveStrike);
 
 void BM_StrikeInputsPacked(benchmark::State& state) {
   // One lane batch's stimulus at the dispatched width: C7552's 207

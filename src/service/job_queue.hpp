@@ -35,6 +35,8 @@
 
 namespace cwsp::service {
 
+struct LintSpec;
+
 struct Job {
   /// Client-assigned request id (echoed in the response envelope).
   std::string id;
@@ -55,6 +57,9 @@ struct Job {
   /// design_key(design_name, *design_text), resolved once at admission
   /// (SessionCache::key_of); 0 for sleep and lint.
   std::uint64_t design_key = 0;
+  /// A lint job's spec, decoded (and validated) once at admission; null
+  /// for every other op.
+  std::shared_ptr<const LintSpec> lint;
   /// Client deadline budget, ms (0 = none). Deadline-carrying jobs never
   /// coalesce (their outcome is wall-clock dependent).
   double deadline_ms = 0.0;

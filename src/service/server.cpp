@@ -569,7 +569,7 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
         job.batch_key =
             compare_spec_fingerprint(decode<CompareSpec>(request), dkey);
       } else {
-        (void)decode<LintSpec>(request);  // validate only
+        job.lint = std::make_shared<const LintSpec>(decode<LintSpec>(request));
       }
     }
 
@@ -807,7 +807,7 @@ std::string Server::execute_job(const Job& job, sim::CancelToken* cancel) {
     }
 
     if (job.op == "lint") {
-      const auto spec = decode<LintSpec>(job.request);
+      const LintSpec& spec = *job.lint;
       const LintOutcome outcome = run_lint(spec, *library_);
       return ok_tail(job.op, spec.json ? "json" : "text", outcome.output,
                      outcome.failed ? ",\"failed\":true"

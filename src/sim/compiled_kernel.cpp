@@ -18,14 +18,23 @@ std::shared_ptr<const CompiledKernelContext> CompiledKernelContext::build(
 }
 
 CompiledEventSim::~CompiledEventSim() {
-  if (cache_hits_ == 0 && cache_misses_ == 0) return;
   auto& registry = metrics::Registry::global();
-  registry.counter("kernel.golden_cache_hits").add(cache_hits_);
-  registry.counter("kernel.golden_cache_misses").add(cache_misses_);
+  if (cache_hits_ != 0 || cache_misses_ != 0) {
+    registry.counter("kernel.golden_cache_hits").add(cache_hits_);
+    registry.counter("kernel.golden_cache_misses").add(cache_misses_);
+  }
+  if (counts_.gates_blocked != 0 || counts_.gates_shifted != 0 ||
+      counts_.gates_merged != 0) {
+    registry.counter("kernel.resolve.gates_blocked").add(counts_.gates_blocked);
+    registry.counter("kernel.resolve.gates_shifted").add(counts_.gates_shifted);
+    registry.counter("kernel.resolve.gates_merged").add(counts_.gates_merged);
+    registry.counter("kernel.resolve.pulses_filtered")
+        .add(counts_.pulses_filtered);
+  }
 }
 
 CompiledEventSim::CompiledEventSim(const Netlist& netlist)
-    : context_(CompiledKernelContext::build(netlist)) {}
+    : CompiledEventSim(netlist, CompiledKernelContext::build(netlist)) {}
 
 CompiledEventSim::CompiledEventSim(
     const Netlist& netlist,
@@ -34,6 +43,21 @@ CompiledEventSim::CompiledEventSim(
   CWSP_REQUIRE(context_ != nullptr);
   CWSP_REQUIRE_MSG(&context_->view->netlist() == &netlist,
                    "compiled-kernel context built for a different netlist");
+  const FlatNetlistView& view = *context_->view;
+  setup_ps_ = netlist.library().regular_ff().setup.value();
+  hold_ps_ = netlist.library().regular_ff().hold.value();
+  const std::size_t nff = view.num_flip_flops();
+  endpoint_first_.assign(view.num_nets(), kNone);
+  endpoint_next_.assign(nff + view.po_nets().size(), kNone);
+  // Pushed in descending order, so each chain lists its endpoints in
+  // ascending order.
+  for (std::size_t e = endpoint_next_.size(); e-- > 0;) {
+    const std::uint32_t net =
+        e < nff ? view.ff_d_net(e) : view.po_nets()[e - nff];
+    endpoint_next_[e] = endpoint_first_[net];
+    endpoint_first_[net] = static_cast<std::uint32_t>(e);
+  }
+  slot_of_.assign(view.num_nets(), kNone);
 }
 
 void CompiledEventSim::set_golden_cache_capacity(std::size_t entries) {
@@ -113,88 +137,143 @@ void CompiledEventSim::propagate_cone(const GoldenCycle& golden,
   const std::vector<double>& delays = *context_->gate_delay_ps;
   CWSP_REQUIRE(strike.node.valid() && strike.node.index() < view.num_nets());
 
-  if (wave_.size() != view.num_nets()) {
-    wave_.resize(view.num_nets());
-    touched_.assign(view.num_nets(), 0);
-    touched_list_.clear();
-  }
-  // Wipe the previous propagation lazily (keeps buffer capacity, and
-  // leaves the scratch consistent even if the last run threw).
-  for (std::uint32_t n : touched_list_) touched_[n] = 0;
-  touched_list_.clear();
-
-  auto touch = [&](std::uint32_t n) {
-    touched_[n] = 1;
-    touched_list_.push_back(n);
+  for (const Slot& slot : slots_) slot_of_[slot.net] = kNone;
+  slots_.clear();
+  // arena_[0, used) holds this resolution's toggles; the arena only grows.
+  std::size_t used = 0;
+  auto room_for = [&](std::size_t count) {
+    if (arena_.size() < used + count) {
+      arena_.resize(std::max(used + count, 2 * arena_.size()));
+    }
+    return arena_.data() + used;
+  };
+  auto add_slot = [&](std::uint32_t net, bool initial, std::size_t length) {
+    slot_of_[net] = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(Slot{net, static_cast<std::uint32_t>(used),
+                          static_cast<std::uint32_t>(length), initial});
+    used += length;
   };
 
-  // Seed the struck net: its golden constant with the strike pulse
-  // XOR-ed in. (The struck net's own driver can never sit inside the
-  // cone — that would be a combinational cycle — so this is the only
-  // place the pulse enters.)
+  // Seed the struck net: its golden constant inverted during the strike.
+  // (The struck net's own driver can never sit inside the cone — that
+  // would be a combinational cycle — so this is the only place the pulse
+  // enters.) A zero-width strike toggles nothing.
   const std::uint32_t struck = strike.node.value();
-  wave_[struck].reset(golden.net_values[struck] != 0);
-  wave_[struck].xor_pulse(strike.start.value(),
-                          strike.start.value() + strike.width.value());
-  touch(struck);
+  const double t0 = strike.start.value();
+  const double t1 = t0 + strike.width.value();
+  CWSP_REQUIRE(t0 <= t1);
+  if (t0 != t1) {
+    double* pulse = room_for(2);
+    pulse[0] = t0;
+    pulse[1] = t1;
+    add_slot(struck, golden.net_values[struck] != 0, 2);
+  }
 
+  // Every net without a slot holds its golden constant, and every slot
+  // starts at its golden value (docs/perf.md §3), so a gate is decided by
+  // its golden input bits and the toggles of its inputs that have slots.
+  const CancelToken* const cancel = cancel_;
+  const unsigned char* const gold = golden.net_values.data();
+  const std::uint32_t* const slot_of = slot_of_.data();
   for (std::uint32_t g : view.cone_of(strike.node)) {
-    if (cancel_ != nullptr && cancel_->cancelled()) {
+    if (cancel != nullptr && cancel->cancelled()) {
       throw CancelledError("event simulation cancelled");
     }
     const std::uint32_t* in = view.gate_inputs_begin(g);
     const std::uint32_t arity = view.gate_num_inputs(g);
+    unsigned golden_bits = 0;
+    unsigned live_bits = 0;
+    std::uint32_t live_slot = kNone;
+    for (std::uint32_t i = 0; i < arity; ++i) {
+      golden_bits |= static_cast<unsigned>(gold[in[i]] != 0) << i;
+      const std::uint32_t slot = slot_of[in[i]];
+      const bool live = slot != kNone;
+      live_bits |= static_cast<unsigned>(live) << i;
+      live_slot = live ? slot : live_slot;
+    }
+    if (live_bits == 0) continue;  // no input toggles: the output is golden
+
     const std::uint16_t truth = view.gate_truth(g);
-
-    // Union of input event times (untouched inputs are golden constants
-    // and contribute none).
-    times_.clear();
-    for (std::uint32_t i = 0; i < arity; ++i) {
-      if (touched_[in[i]] != 0) {
-        const auto& t = wave_[in[i]].transitions();
-        times_.insert(times_.end(), t.begin(), t.end());
-      }
-    }
-    std::sort(times_.begin(), times_.end());
-    times_.erase(std::unique(times_.begin(), times_.end()), times_.end());
-
-    auto input_bit_at = [&](std::uint32_t i, double t) {
-      return touched_[in[i]] != 0 ? wave_[in[i]].value_at(t)
-                                  : golden.net_values[in[i]] != 0;
-    };
-
-    unsigned init_bits = 0;
-    for (std::uint32_t i = 0; i < arity; ++i) {
-      const bool v = touched_[in[i]] != 0 ? wave_[in[i]].initial()
-                                          : golden.net_values[in[i]] != 0;
-      if (v) init_bits |= 1u << i;
-    }
-
-    const std::uint32_t out_net = view.gate_output(g);
-    DigitalWaveform& out = wave_[out_net];
-    out.reset(((truth >> init_bits) & 1u) != 0);
+    const bool initial = ((truth >> golden_bits) & 1u) != 0;
     const double delay = delays[g];
-    bool current = out.initial();
-    for (double t : times_) {
-      unsigned bits_in = 0;
-      for (std::uint32_t i = 0; i < arity; ++i) {
-        if (input_bit_at(i, t)) bits_in |= 1u << i;
+    double* out = nullptr;
+    std::size_t emitted = 0;
+    if ((live_bits & (live_bits - 1)) == 0) {
+      // One toggling input, the side inputs at golden: the gate blocks it
+      // or passes/inverts it. The output toggles one delay after each
+      // instant holding an odd number of input toggles (an even number
+      // leaves the input, and so the output, where it was).
+      if (((truth >> (golden_bits | live_bits)) & 1u) ==
+          ((truth >> (golden_bits & ~live_bits)) & 1u)) {
+        ++counts_.gates_blocked;
+        continue;
       }
-      const bool v = ((truth >> bits_in) & 1u) != 0;
-      if (v != current) {
-        out.push_transition(t + delay);
-        current = v;
+      ++counts_.gates_shifted;
+      const Slot src = slots_[live_slot];
+      out = room_for(src.length);
+      const double* t = arena_.data() + src.offset;
+      for (std::uint32_t k = 0; k < src.length;) {
+        std::uint32_t next = k + 1;
+        while (next < src.length && t[next] == t[k]) ++next;
+        if ((next - k) % 2 != 0) out[emitted++] = t[k] + delay;
+        k = next;
+      }
+    } else {
+      // Two or more toggling inputs: evaluate the gate at every distinct
+      // input event time.
+      ++counts_.gates_merged;
+      times_.clear();
+      for (std::uint32_t i = 0; i < arity; ++i) {
+        if (((live_bits >> i) & 1u) != 0) {
+          const auto t = toggles(slots_[slot_of[in[i]]]);
+          times_.insert(times_.end(), t.begin(), t.end());
+        }
+      }
+      std::sort(times_.begin(), times_.end());
+      times_.erase(std::unique(times_.begin(), times_.end()), times_.end());
+      out = room_for(times_.size());
+      bool current = initial;
+      for (double t : times_) {
+        unsigned bits_in = golden_bits & ~live_bits;
+        for (std::uint32_t i = 0; i < arity; ++i) {
+          if (((live_bits >> i) & 1u) == 0) continue;
+          const Slot& slot = slots_[slot_of[in[i]]];
+          if (waveform::value_at(toggles(slot), slot.initial, t)) {
+            bits_in |= 1u << i;
+          }
+        }
+        const bool v = ((truth >> bits_in) & 1u) != 0;
+        if (v != current) {
+          out[emitted++] = t + delay;
+          current = v;
+        }
       }
     }
-    out.inertial_filter(view.gate_inertial_delay_ps(g));
-    touch(out_net);
+    const std::size_t kept = waveform::inertial_filter(
+        {out, emitted}, view.gate_inertial_delay_ps(g));
+    counts_.pulses_filtered += (emitted - kept) / 2;
+    if (kept > 0) add_slot(view.gate_output(g), initial, kept);
   }
 }
+
+namespace {
+
+/// Every endpoint at its golden sample: what a cycle captures where no
+/// toggle reaches.
+void sample_golden(const GoldenCycle& golden, CycleResult& out) {
+  out.golden_d = golden.ff_d;
+  out.latched_d = golden.ff_d;
+  out.aperture_violation.assign(golden.ff_d.size(), false);
+  out.golden_po = golden.po;
+  out.struck_po = golden.po;
+  out.glitch_reached_endpoint = false;
+}
+
+}  // namespace
 
 CycleResult CompiledEventSim::simulate_cycle(
     const std::vector<bool>& pi_values, const std::vector<bool>& ff_q_values,
     Picoseconds capture_time, const std::optional<set::Strike>& strike) const {
-  const FlatNetlistView& view = *context_->view;
   const GoldenCycle& golden = golden_cycle(pi_values, ff_q_values);
 
   if (!strike.has_value()) {
@@ -202,11 +281,7 @@ CycleResult CompiledEventSim::simulate_cycle(
     // every waveform is constant, nothing toggles, nothing reaches an
     // endpoint.
     CycleResult result;
-    result.golden_d = golden.ff_d;
-    result.golden_po = golden.po;
-    result.latched_d = golden.ff_d;
-    result.aperture_violation.assign(view.num_flip_flops(), false);
-    result.struck_po = golden.po;
+    sample_golden(golden, result);
     return result;
   }
 
@@ -216,46 +291,41 @@ CycleResult CompiledEventSim::simulate_cycle(
 CycleResult CompiledEventSim::resolve_strike(const GoldenCycle& golden,
                                              Picoseconds capture_time,
                                              const set::Strike& strike) const {
-  const FlatNetlistView& view = *context_->view;
-  CWSP_REQUIRE(golden.net_values.size() == view.num_nets());
-
   CycleResult result;
-  result.golden_d = golden.ff_d;
-  result.golden_po = golden.po;
+  resolve_strike(golden, capture_time, strike, result);
+  return result;
+}
+
+void CompiledEventSim::resolve_strike(const GoldenCycle& golden,
+                                      Picoseconds capture_time,
+                                      const set::Strike& strike,
+                                      CycleResult& out) const {
+  const FlatNetlistView& view = *context_->view;
+  const std::size_t nff = view.num_flip_flops();
+  CWSP_REQUIRE(golden.net_values.size() == view.num_nets() &&
+               golden.ff_d.size() == nff &&
+               golden.po.size() == view.po_nets().size());
 
   propagate_cone(golden, strike);
 
-  const Netlist& nl = view.netlist();
+  // Endpoints on nets without a slot sample their golden constant.
+  sample_golden(golden, out);
   const double t_capture = capture_time.value();
-  const double setup = nl.library().regular_ff().setup.value();
-  const double hold = nl.library().regular_ff().hold.value();
-
-  result.latched_d.reserve(view.num_flip_flops());
-  result.aperture_violation.reserve(view.num_flip_flops());
-  for (std::size_t f = 0; f < view.num_flip_flops(); ++f) {
-    const std::uint32_t d = view.ff_d_net(f);
-    if (touched_[d] != 0) {
-      const DigitalWaveform& w = wave_[d];
-      result.latched_d.push_back(w.value_at(t_capture));
-      result.aperture_violation.push_back(
-          w.has_transition_in(t_capture - setup, t_capture + hold));
-      if (!w.is_constant()) result.glitch_reached_endpoint = true;
-    } else {
-      result.latched_d.push_back(golden.ff_d[f]);
-      result.aperture_violation.push_back(false);
+  for (const Slot& slot : slots_) {
+    for (std::uint32_t e = endpoint_first_[slot.net]; e != kNone;
+         e = endpoint_next_[e]) {
+      out.glitch_reached_endpoint = true;
+      const bool value = waveform::value_at(toggles(slot), slot.initial,
+                                            t_capture);
+      if (e < nff) {
+        out.latched_d[e] = value;
+        out.aperture_violation[e] = waveform::has_transition_in(
+            toggles(slot), t_capture - setup_ps_, t_capture + hold_ps_);
+      } else {
+        out.struck_po[e - nff] = value;
+      }
     }
   }
-  result.struck_po.reserve(view.po_nets().size());
-  for (std::size_t p = 0; p < view.po_nets().size(); ++p) {
-    const std::uint32_t po = view.po_nets()[p];
-    if (touched_[po] != 0) {
-      result.struck_po.push_back(wave_[po].value_at(t_capture));
-      if (!wave_[po].is_constant()) result.glitch_reached_endpoint = true;
-    } else {
-      result.struck_po.push_back(golden.po[p]);
-    }
-  }
-  return result;
 }
 
 DigitalWaveform CompiledEventSim::net_waveform(
@@ -266,7 +336,12 @@ DigitalWaveform CompiledEventSim::net_waveform(
   const GoldenCycle& golden = golden_cycle(pi_values, ff_q_values);
   if (strike.has_value()) {
     propagate_cone(golden, *strike);
-    if (touched_[net.index()] != 0) return wave_[net.index()];
+    if (slot_of_[net.index()] != kNone) {
+      const Slot& slot = slots_[slot_of_[net.index()]];
+      DigitalWaveform wave(slot.initial);
+      wave.set_transitions({toggles(slot).begin(), toggles(slot).end()});
+      return wave;
+    }
   }
   return DigitalWaveform(golden.net_values[net.index()] != 0);
 }

@@ -9,10 +9,13 @@
 //     (1) golden (no-strike) cycles collapse to a single table-driven
 //     logic pass whose result is memoized per (PI, FF-state) stimulus;
 //     (2) struck cycles only event-simulate the gates inside the struck
-//     net's fanout cone, reading golden constants everywhere else;
-//     (3) all per-cycle state lives in reusable scratch buffers —
-//     steady-state simulation performs no heap allocation. Tests pin it
-//     bit for bit to the full-netlist EventSim oracle (tests/oracle).
+//     net's fanout cone, reading golden constants everywhere else, and
+//     a cone gate with one toggling input shifts that input's toggles
+//     (or blocks them) instead of re-evaluating the gate per event;
+//     (3) all per-cycle state lives in reusable scratch buffers (one
+//     transition arena and one slot per toggling net) — steady-state
+//     simulation performs no heap allocation. Tests pin it bit for bit
+//     to the full-netlist EventSim oracle (tests/oracle).
 //
 //   * CompiledKernelContext — the shareable immutable part (flat view +
 //     STA gate delays), built once per netlist and handed to every
@@ -24,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -81,6 +85,19 @@ struct GoldenCycle {
   std::vector<bool> po;
 };
 
+/// How the cone gates of the strikes a simulator resolved propagated the
+/// pulse (observability only; flushed as kernel.resolve.* counters).
+struct ResolveCounts {
+  /// One toggling input whose side inputs hold the output constant.
+  std::uint64_t gates_blocked = 0;
+  /// One toggling input passed or inverted: its toggles, delayed.
+  std::uint64_t gates_shifted = 0;
+  /// Two or more toggling inputs, evaluated at every input event.
+  std::uint64_t gates_merged = 0;
+  /// Pulses (toggle pairs) the inertial filter removed.
+  std::uint64_t pulses_filtered = 0;
+};
+
 class CompiledEventSim {
  public:
   /// Builds a private context (flat view + STA).
@@ -88,8 +105,9 @@ class CompiledEventSim {
   /// Shares a prebuilt context (the campaign worker path).
   CompiledEventSim(const Netlist& netlist,
                    std::shared_ptr<const CompiledKernelContext> context);
-  /// Flushes this instance's golden-cache hit/miss totals into the global
-  /// metrics registry (kernel.golden_cache_*) — zero hot-path overhead.
+  /// Flushes this instance's golden-cache hit/miss totals and its
+  /// ResolveCounts into the global metrics registry (kernel.golden_cache_*,
+  /// kernel.resolve.*) — zero hot-path overhead.
   ~CompiledEventSim();
 
   /// Simulates one cycle: sources take `pi_values` / `ff_q_values` at
@@ -114,6 +132,10 @@ class CompiledEventSim {
   [[nodiscard]] CycleResult resolve_strike(const GoldenCycle& golden,
                                            Picoseconds capture_time,
                                            const set::Strike& strike) const;
+  /// The same resolution written into `out`, reusing its storage (the
+  /// lane kernel keeps one scratch result per simulator).
+  void resolve_strike(const GoldenCycle& golden, Picoseconds capture_time,
+                      const set::Strike& strike, CycleResult& out) const;
 
   /// The waveform on `net` for the same scenario (for inspection and
   /// tests).
@@ -144,6 +166,10 @@ class CompiledEventSim {
   [[nodiscard]] std::size_t golden_cache_misses() const {
     return cache_misses_;
   }
+  /// Gate-class totals over every resolution so far (for tests).
+  [[nodiscard]] const ResolveCounts& resolve_counts() const {
+    return counts_;
+  }
   /// Entries kept before the cache is wholesale-evicted (bounds memory on
   /// pathological stimulus diversity). Clears the cache when shrunk below
   /// the current population.
@@ -170,13 +196,35 @@ class CompiledEventSim {
   const GoldenCycle& golden_cycle(const std::vector<bool>& pi_values,
                                   const std::vector<bool>& ff_q_values) const;
 
-  /// Event-simulates the struck net's cone against `golden`, filling the
-  /// scratch waveform pool. Returns the cone (topo-sorted gate indices).
+  /// One net that toggles in the current resolution: its initial value
+  /// (always its golden value) and its toggle times,
+  /// arena_[offset, offset + length), length > 0.
+  struct Slot {
+    std::uint32_t net = 0;
+    std::uint32_t offset = 0;
+    std::uint32_t length = 0;
+    bool initial = false;
+  };
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  /// Event-simulates the struck net's cone against `golden`, leaving one
+  /// slot per toggling net in slots_ (cone order) until the next call.
   void propagate_cone(const GoldenCycle& golden,
                       const set::Strike& strike) const;
 
+  [[nodiscard]] std::span<const double> toggles(const Slot& slot) const {
+    return {arena_.data() + slot.offset, slot.length};
+  }
+
   std::shared_ptr<const CompiledKernelContext> context_;
   const CancelToken* cancel_ = nullptr;
+  double setup_ps_ = 0.0;
+  double hold_ps_ = 0.0;
+  /// Endpoints whose net is n: endpoint_first_[n], then endpoint_next_[e]
+  /// until kNone. Endpoint e < #FFs is the D pin of FF e, else primary
+  /// output e - #FFs (one net may drive several of either).
+  std::vector<std::uint32_t> endpoint_first_;
+  std::vector<std::uint32_t> endpoint_next_;
 
   // Golden-waveform cache.
   mutable std::unordered_map<StimulusKey, GoldenCycle, StimulusKeyHash>
@@ -185,12 +233,15 @@ class CompiledEventSim {
   mutable std::size_t cache_hits_ = 0;
   mutable std::size_t cache_misses_ = 0;
 
-  // Reusable scratch (valid between propagate_cone and endpoint
-  // sampling; wiped lazily at the start of the next propagation).
-  mutable std::vector<DigitalWaveform> wave_;
-  mutable std::vector<char> touched_;
-  mutable std::vector<std::uint32_t> touched_list_;
+  // One resolution's waveforms (valid from propagate_cone until the next
+  // one, which first resets slot_of_ through slots_ — also after a
+  // resolution that threw mid-cone).
+  mutable std::vector<Slot> slots_;
+  mutable std::vector<double> arena_;
+  /// net -> index into slots_, kNone for every net without a slot.
+  mutable std::vector<std::uint32_t> slot_of_;
   mutable std::vector<double> times_;
+  mutable ResolveCounts counts_;
 };
 
 }  // namespace cwsp::sim

@@ -4,12 +4,18 @@
 
 namespace cwsp::sim {
 
-bool DigitalWaveform::value_at(double t_ps) const {
+bool waveform::value_at(std::span<const double> toggles, bool initial,
+                        double t_ps) {
   // Number of toggles at or before t.
-  const auto it =
-      std::upper_bound(transitions_.begin(), transitions_.end(), t_ps);
-  const auto toggles = static_cast<std::size_t>(it - transitions_.begin());
-  return (toggles % 2 == 0) ? initial_ : !initial_;
+  const auto it = std::upper_bound(toggles.begin(), toggles.end(), t_ps);
+  const auto count = static_cast<std::size_t>(it - toggles.begin());
+  return (count % 2 == 0) ? initial : !initial;
+}
+
+bool waveform::has_transition_in(std::span<const double> toggles,
+                                 double from_ps, double to_ps) {
+  const auto lo = std::lower_bound(toggles.begin(), toggles.end(), from_ps);
+  return lo != toggles.end() && *lo <= to_ps;
 }
 
 void DigitalWaveform::xor_pulse(double t0_ps, double t1_ps) {
@@ -34,27 +40,7 @@ void DigitalWaveform::set_transitions(std::vector<double> transitions) {
 }
 
 void DigitalWaveform::inertial_filter(double min_width_ps) {
-  CWSP_REQUIRE(min_width_ps >= 0.0);
-  if (min_width_ps == 0.0) return;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 0; i + 1 < transitions_.size(); ++i) {
-      if (transitions_[i + 1] - transitions_[i] < min_width_ps) {
-        // The level between these two toggles is too short to propagate.
-        transitions_.erase(transitions_.begin() + static_cast<long>(i),
-                           transitions_.begin() + static_cast<long>(i + 2));
-        changed = true;
-        break;
-      }
-    }
-  }
-}
-
-bool DigitalWaveform::has_transition_in(double from_ps, double to_ps) const {
-  const auto lo =
-      std::lower_bound(transitions_.begin(), transitions_.end(), from_ps);
-  return lo != transitions_.end() && *lo <= to_ps;
+  transitions_.resize(waveform::inertial_filter(transitions_, min_width_ps));
 }
 
 }  // namespace cwsp::sim

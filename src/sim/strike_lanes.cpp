@@ -384,8 +384,8 @@ void StrikeLaneSim::run_packed(const std::vector<LaneScenario>& batch,
             ((golden_.net_words(view.po_nets()[p])[wl] >> shift) & 1u) != 0;
       }
 
-      const CycleResult cr =
-          event_.resolve_strike(lane_golden_, clock_period_, batch[l].strike);
+      CycleResult& cr = resolved_;
+      event_.resolve_strike(lane_golden_, clock_period_, batch[l].strike, cr);
       PendingDivergence div;
       div.lane = l;
       if (!batch[l].node2.valid()) {
@@ -399,21 +399,22 @@ void StrikeLaneSim::run_packed(const std::vector<LaneScenario>& batch,
         // Charge-sharing double strike: resolve each node's SET against
         // the same settled cycle and superpose — a capture both strikes
         // flip re-latches the golden value (symmetric difference), and
-        // aperture violations accumulate.
+        // aperture violations accumulate. Both halves share the golden
+        // cycle, so the first half's latched values are all the second
+        // needs of it.
         ++timed_resolutions_;
+        first_latched_ = cr.latched_d;
+        for (std::size_t f = 0; f < nff; ++f) {
+          if (cr.aperture_violation[f]) out[l].aperture = true;
+        }
         const set::Strike second{batch[l].node2, batch[l].strike.start,
                                  batch[l].strike.width};
-        const CycleResult cr2 =
-            event_.resolve_strike(lane_golden_, clock_period_, second);
+        event_.resolve_strike(lane_golden_, clock_period_, second, cr);
         for (std::size_t f = 0; f < nff; ++f) {
-          const bool flip1 = cr.latched_d[f] != cr.golden_d[f];
-          const bool flip2 = cr2.latched_d[f] != cr2.golden_d[f];
-          if (flip1 != flip2) {
+          if (first_latched_[f] != cr.latched_d[f]) {
             div.flipped_ffs.emplace_back(f, !static_cast<bool>(cr.golden_d[f]));
           }
-          if (cr.aperture_violation[f] || cr2.aperture_violation[f]) {
-            out[l].aperture = true;
-          }
+          if (cr.aperture_violation[f]) out[l].aperture = true;
         }
       }
       out[l].latched_diff = !div.flipped_ffs.empty();

@@ -253,6 +253,10 @@ class StrikeLaneSim {
   /// Scratch for per-lane golden extraction. net_values is sized once;
   /// entries outside the current strike's read set hold stale bits.
   GoldenCycle lane_golden_;
+  /// The resolution of the lane being extracted (both halves of a double
+  /// strike, one after the other), and the first half's latched values.
+  CycleResult resolved_;
+  std::vector<bool> first_latched_;
   /// run_batch's packed copy of the scenarios' stimulus.
   std::vector<std::uint64_t> stimulus_;
 

@@ -2,13 +2,21 @@
 // full-netlist EventSim oracle (tests/oracle), over fuzzed netlists:
 // CompiledEventSim must reproduce EventSim bit-for-bit (waveforms,
 // latched values, aperture flags — strike and no-strike), and its golden
-// steps must match scalar LogicSim. Plus unit tests of the
+// steps must match scalar LogicSim. The CompiledKernelOracle suite drives
+// every branch of the timed resolver (blocked, shifted and merged gates,
+// filtered pulses, coincident toggles, shared D nets, cancellation, the
+// reusing overload) against the same oracle. Plus unit tests of the
 // golden-waveform cache and of resolve_strike's read set on a generated
 // C880.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
+#include <limits>
+
 #include "bencharness/generator.hpp"
+#include "netlist/flat_view.hpp"
 #include "netlist_fuzz.hpp"
 #include "oracle/event_sim.hpp"
 #include "set/strike_plan.hpp"
@@ -244,6 +252,330 @@ TEST(CompiledKernelTest, ResolveStrikeReadsOnlyTheStruckConesInputs) {
     }
   }
   EXPECT_GT(reached, 0u) << "no sampled strike reached an endpoint";
+}
+
+// ---- CompiledKernelOracle: every branch of the timed resolver ---------
+
+/// The default library with every inertial delay at zero. Nothing is
+/// filtered, so two toggles that round to one instant survive on a net,
+/// and the next gate must cancel them as EventSim's union/unique does.
+CellLibrary zero_inertial_library() {
+  const CellLibrary base = make_default_library();
+  CellLibrary lib;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    const Cell& c = base.cell(CellId{i});
+    lib.add_cell(Cell(c.name(), c.kind(), c.num_inputs(), c.truth_table(),
+                      c.devices(), c.intrinsic_delay(), c.drive_resistance(),
+                      c.input_capacitance(), Picoseconds(0.0)));
+  }
+  lib.set_regular_ff(base.regular_ff());
+  lib.set_modified_ff(base.modified_ff());
+  lib.set_wire_capacitance_per_fanout(base.wire_capacitance_per_fanout());
+  return lib;
+}
+
+/// A reconvergent fuzzed design in which every D net drives two
+/// flip-flops: the original one and a twin whose Q is a primary output.
+Netlist with_shared_d_nets(const CellLibrary& lib, std::uint64_t seed) {
+  testing::FuzzOptions fuzz;
+  fuzz.num_gates = 40;
+  fuzz.num_flip_flops = 3;
+  Netlist netlist = testing::make_random_netlist(lib, seed, fuzz);
+  const std::size_t originals = netlist.num_flip_flops();
+  for (std::size_t f = 0; f < originals; ++f) {
+    const NetId q = netlist.add_net("twin_q" + std::to_string(f));
+    netlist.add_flip_flop_onto(netlist.flip_flop(FlipFlopId{f}).d, q);
+    netlist.mark_primary_output(q);
+  }
+  netlist.validate();
+  return netlist;
+}
+
+void add_counts(sim::ResolveCounts& total, const sim::ResolveCounts& more) {
+  total.gates_blocked += more.gates_blocked;
+  total.gates_shifted += more.gates_shifted;
+  total.gates_merged += more.gates_merged;
+  total.pulses_filtered += more.pulses_filtered;
+}
+
+TEST(CompiledKernelOracle, GateClassesAndEndpointsMatchEventSim) {
+  // Every net of 12 reconvergent designs struck four ways: narrower than
+  // the library's inertial delays (10-24 ps), zero width, starting at 0,
+  // and wide. Results and the waveform of every net, inside and outside
+  // the struck cone, must equal the oracle's.
+  const CellLibrary lib = make_default_library();
+  sim::ResolveCounts total;
+  std::size_t ff_d_reached = 0, po_reached = 0, twin_flipped = 0;
+  std::size_t inside = 0, outside = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const Netlist netlist = with_shared_d_nets(lib, 100 + seed);
+    const auto view = FlatNetlistView::build(netlist);
+    const sim::EventSim oracle(netlist);
+    const sim::CompiledEventSim compiled(netlist);
+    const std::size_t first_twin = netlist.num_flip_flops() / 2;
+    Rng rng(seed);
+    for (std::size_t n = 0; n < netlist.num_nets(); ++n) {
+      std::vector<char> in_cone(netlist.num_nets(), 0);
+      in_cone[n] = 1;
+      for (std::uint32_t g : view->cone_of(NetId{n})) {
+        in_cone[view->gate_output(g)] = 1;
+      }
+      for (int kind = 0; kind < 4; ++kind) {
+        const auto pis = random_bits(netlist.primary_inputs().size(), rng);
+        const auto ffs = random_bits(netlist.num_flip_flops(), rng);
+        set::Strike strike;
+        strike.node = NetId{n};
+        strike.start = Picoseconds(kind == 2 ? 0.0
+                                             : rng.next_double_in(0.0, 1300.0));
+        strike.width = Picoseconds(
+            kind == 0   ? rng.next_double_in(1.0, 24.0)
+            : kind == 1 ? 0.0
+                        : rng.next_double_in(100.0, 700.0));
+        const Picoseconds capture(rng.next_double_in(200.0, 1500.0));
+        const std::string context = "seed " + std::to_string(seed) +
+                                    " net " + std::to_string(n) + " kind " +
+                                    std::to_string(kind);
+        const auto expected =
+            oracle.simulate_cycle(pis, ffs, capture, strike);
+        expect_cycles_equal(
+            expected, compiled.simulate_cycle(pis, ffs, capture, strike),
+            context);
+        const Net& net = netlist.net(NetId{n});
+        if (expected.glitch_reached_endpoint) {
+          if (!net.fanout_ffs.empty()) ++ff_d_reached;
+          if (net.is_primary_output) ++po_reached;
+        }
+        for (std::size_t f = first_twin; f < netlist.num_flip_flops(); ++f) {
+          if (expected.latched_d[f] != expected.golden_d[f] ||
+              expected.aperture_violation[f]) {
+            ++twin_flipped;
+          }
+        }
+        for (std::size_t m = 0; m < netlist.num_nets(); ++m) {
+          const auto wl = oracle.net_waveform(pis, ffs, strike, NetId{m});
+          const auto wc = compiled.net_waveform(pis, ffs, strike, NetId{m});
+          ASSERT_EQ(wl.initial(), wc.initial()) << context << " on " << m;
+          ASSERT_EQ(wl.transitions(), wc.transitions())
+              << context << " on " << m;
+          if (in_cone[m] != 0 && !wc.is_constant()) ++inside;
+          if (in_cone[m] == 0) ++outside;
+        }
+      }
+    }
+    add_counts(total, compiled.resolve_counts());
+  }
+  EXPECT_GE(total.gates_blocked, 50u);
+  EXPECT_GE(total.gates_shifted, 50u);
+  EXPECT_GE(total.gates_merged, 50u);
+  EXPECT_GE(total.pulses_filtered, 50u);
+  EXPECT_GE(ff_d_reached, 50u) << "struck FF D nets whose pulse was sampled";
+  EXPECT_GE(po_reached, 50u) << "struck primary outputs";
+  EXPECT_GE(twin_flipped, 50u) << "corrupted twins on shared D nets";
+  EXPECT_GT(inside, 0u);
+  EXPECT_GT(outside, 0u);
+}
+
+TEST(CompiledKernelOracle, CoincidentTogglesCancelAsInEventSim) {
+  // One- and two-ulp pulses just below 1024 ps: the first gate's delay
+  // carries both toggles into the next binade, where about half of the
+  // one-ulp pairs round to the same instant. With no inertial filtering
+  // those survive, and the next gate sees an even number of toggles at
+  // one instant.
+  const CellLibrary lib = zero_inertial_library();
+  std::size_t coincident = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const Netlist netlist = with_shared_d_nets(lib, 200 + seed);
+    const sim::EventSim oracle(netlist);
+    const sim::CompiledEventSim compiled(netlist);
+    Rng rng(seed ^ 0x1024);
+    for (std::size_t n = 0; n < netlist.num_nets(); ++n) {
+      for (int k = 0; k < 4; ++k) {
+        const auto pis = random_bits(netlist.primary_inputs().size(), rng);
+        const auto ffs = random_bits(netlist.num_flip_flops(), rng);
+        const double start = rng.next_double_in(1016.0, 1024.0);
+        double end = start;
+        for (int ulps = 0; ulps <= k % 2; ++ulps) {
+          end = std::nextafter(end, std::numeric_limits<double>::infinity());
+        }
+        set::Strike strike;
+        strike.node = NetId{n};
+        strike.start = Picoseconds(start);
+        strike.width = Picoseconds(end - start);
+        const Picoseconds capture(1100.0 + 50.0 * k);
+        const std::string context =
+            "seed " + std::to_string(seed) + " net " + std::to_string(n);
+        expect_cycles_equal(
+            oracle.simulate_cycle(pis, ffs, capture, strike),
+            compiled.simulate_cycle(pis, ffs, capture, strike), context);
+        for (std::size_t m = 0; m < netlist.num_nets(); ++m) {
+          const auto wl = oracle.net_waveform(pis, ffs, strike, NetId{m});
+          const auto wc = compiled.net_waveform(pis, ffs, strike, NetId{m});
+          ASSERT_EQ(wl.initial(), wc.initial()) << context << " on " << m;
+          ASSERT_EQ(wl.transitions(), wc.transitions())
+              << context << " on " << m;
+          const auto& t = wl.transitions();
+          for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+            if (t[i] == t[i + 1]) ++coincident;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(coincident, 50u) << "instants holding two toggles";
+}
+
+TEST(CompiledKernelOracle, GeneratedC880MatchesEventSim) {
+  const CellLibrary lib = make_default_library();
+  const auto generated =
+      bench::generate_benchmark(bench::find_benchmark("C880"), lib);
+  const Netlist netlist =
+      bench::clone_with_output_flip_flops(generated.netlist);
+  const sim::EventSim oracle(netlist);
+  const sim::CompiledEventSim compiled(netlist);
+  const double period = generated.measured_dmax.value();
+  Rng rng(880880);
+  std::size_t reached = 0;
+  for (std::size_t n = 0; n < netlist.num_nets(); n += 23) {
+    for (int kind = 0; kind < 4; ++kind) {
+      const auto pis = random_bits(netlist.primary_inputs().size(), rng);
+      const auto ffs = random_bits(netlist.num_flip_flops(), rng);
+      set::Strike strike;
+      strike.node = NetId{n};
+      strike.start =
+          Picoseconds(kind == 2 ? 0.0 : rng.next_double_in(0.0, period));
+      strike.width = Picoseconds(kind == 0   ? rng.next_double_in(1.0, 24.0)
+                                 : kind == 1 ? 0.0
+                                             : rng.next_double_in(100.0, 900.0));
+      const Picoseconds capture(period);
+      const auto expected = oracle.simulate_cycle(pis, ffs, capture, strike);
+      expect_cycles_equal(expected,
+                          compiled.simulate_cycle(pis, ffs, capture, strike),
+                          "C880 net " + std::to_string(n) + " kind " +
+                              std::to_string(kind));
+      if (expected.glitch_reached_endpoint) ++reached;
+    }
+  }
+  const sim::ResolveCounts& counts = compiled.resolve_counts();
+  EXPECT_GT(reached, 50u);
+  EXPECT_GT(counts.gates_blocked, 0u);
+  EXPECT_GT(counts.gates_shifted, 0u);
+  EXPECT_GT(counts.pulses_filtered, 0u);
+}
+
+TEST(CompiledKernelOracle, CancelledResolutionLeavesNoStaleSlot) {
+  // a and b meet at one XOR. A resolution of a strike on a that throws at
+  // the XOR has given a a slot; the next resolution, of a strike on b,
+  // must not read that slot as a's waveform.
+  const CellLibrary lib = make_default_library();
+  Netlist netlist(lib, "xor");
+  const NetId a = netlist.add_primary_input("a");
+  const NetId b = netlist.add_primary_input("b");
+  const GateId x = netlist.add_gate(lib.cell_for(CellKind::kXor2), {a, b}, "x");
+  const GateId y = netlist.add_gate(lib.cell_for(CellKind::kBuf),
+                                    {netlist.gate(x).output}, "y");
+  netlist.mark_primary_output(netlist.gate(y).output);
+  netlist.validate();
+
+  sim::CompiledEventSim compiled(netlist);
+  const sim::CompiledEventSim fresh(netlist);
+  const sim::EventSim oracle(netlist);
+  const std::vector<bool> pis{false, true};
+  const sim::GoldenCycle golden = compiled.golden_eval(pis, {});
+  const Picoseconds capture(300.0);
+  const set::Strike on_a{a, Picoseconds(100.0), Picoseconds(80.0)};
+  const set::Strike on_b{b, Picoseconds(120.0), Picoseconds(90.0)};
+
+  sim::CancelToken token;
+  token.cancel();
+  compiled.set_cancel_token(&token);
+  EXPECT_THROW((void)compiled.resolve_strike(golden, capture, on_a),
+               sim::CancelledError);
+  compiled.set_cancel_token(nullptr);
+  const auto after = compiled.resolve_strike(golden, capture, on_b);
+  expect_cycles_equal(fresh.resolve_strike(golden, capture, on_b), after,
+                      "after a cancelled resolution");
+  expect_cycles_equal(oracle.simulate_cycle(pis, {}, capture, on_b), after,
+                      "oracle");
+  EXPECT_TRUE(after.glitch_reached_endpoint);
+  const auto wave = compiled.net_waveform(pis, {}, on_b, netlist.gate(y).output);
+  EXPECT_EQ(wave.transitions(),
+            oracle.net_waveform(pis, {}, on_b, netlist.gate(y).output)
+                .transitions());
+}
+
+TEST(CompiledKernelOracle, ResolutionsAfterADeadlineMatchAFreshSimulator) {
+  // Deadlines 0-3 us from now cut C880 resolutions at the first cone
+  // gate or part-way through the cone; every resolution that follows one
+  // must equal a simulator that never threw.
+  const CellLibrary lib = make_default_library();
+  const auto generated =
+      bench::generate_benchmark(bench::find_benchmark("C880"), lib);
+  const Netlist netlist =
+      bench::clone_with_output_flip_flops(generated.netlist);
+  const auto context = sim::CompiledKernelContext::build(netlist);
+  sim::CompiledEventSim compiled(netlist, context);
+  const sim::CompiledEventSim fresh(netlist, context);
+  const Picoseconds capture = generated.measured_dmax;
+  Rng rng(3000);
+  const sim::GoldenCycle golden = compiled.golden_eval(
+      random_bits(netlist.primary_inputs().size(), rng),
+      random_bits(netlist.num_flip_flops(), rng));
+  sim::CancelToken token;
+  std::size_t thrown = 0;
+  for (std::size_t n = 0, step = 0; n < netlist.num_nets(); n += 11, ++step) {
+    set::Strike cut;
+    cut.node = NetId{n};
+    cut.start = Picoseconds(rng.next_double_in(0.0, capture.value()));
+    cut.width = Picoseconds(400.0);
+    token.reset();
+    token.set_deadline(sim::CancelToken::Clock::now() +
+                       std::chrono::nanoseconds(100 * (step % 31)));
+    compiled.set_cancel_token(&token);
+    try {
+      (void)compiled.resolve_strike(golden, capture, cut);
+    } catch (const sim::CancelledError&) {
+      ++thrown;
+    }
+    compiled.set_cancel_token(nullptr);
+    set::Strike next = cut;
+    next.node = NetId{rng.next_below(netlist.num_nets())};
+    expect_cycles_equal(fresh.resolve_strike(golden, capture, next),
+                        compiled.resolve_strike(golden, capture, next),
+                        "after cutting net " + std::to_string(n));
+  }
+  EXPECT_GT(thrown, 0u);
+}
+
+TEST(CompiledKernelOracle, ReusedResultEqualsByValueResolution) {
+  // The reusing overload after a different strike: every field of the
+  // previous result, its endpoint flag included, is overwritten.
+  const CellLibrary lib = make_default_library();
+  const Netlist netlist = with_shared_d_nets(lib, 77);
+  const sim::CompiledEventSim compiled(netlist);
+  Rng rng(77);
+  sim::CycleResult reused;
+  reused.latched_d.assign(3, true);  // stale sizes from nowhere
+  reused.glitch_reached_endpoint = true;
+  std::size_t reached_then_not = 0;
+  bool previous_reached = true;
+  for (std::size_t i = 0; i < 400; ++i) {
+    const sim::GoldenCycle golden =
+        compiled.golden_eval(random_bits(netlist.primary_inputs().size(), rng),
+                             random_bits(netlist.num_flip_flops(), rng));
+    set::Strike strike;
+    strike.node = NetId{rng.next_below(netlist.num_nets())};
+    strike.start = Picoseconds(rng.next_double_in(0.0, 1200.0));
+    strike.width = Picoseconds(rng.next_double_in(0.0, 500.0));
+    const Picoseconds capture(rng.next_double_in(300.0, 1500.0));
+    compiled.resolve_strike(golden, capture, strike, reused);
+    const auto by_value = compiled.resolve_strike(golden, capture, strike);
+    expect_cycles_equal(by_value, reused, "strike " + std::to_string(i));
+    if (previous_reached && !by_value.glitch_reached_endpoint) {
+      ++reached_then_not;
+    }
+    previous_reached = by_value.glitch_reached_endpoint;
+  }
+  EXPECT_GT(reached_then_not, 10u);
 }
 
 }  // namespace

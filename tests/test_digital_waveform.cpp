@@ -2,8 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
+
 namespace cwsp::sim {
 namespace {
+
+/// The filter's definition: collapse the first adjacent toggle pair
+/// closer than min_width, then look again from the start, until none is
+/// left.
+std::vector<double> collapse_first_close_pair(std::vector<double> t,
+                                              double min_width) {
+  if (min_width == 0.0) return t;
+  for (std::size_t i = 0; i + 1 < t.size();) {
+    if (t[i + 1] - t[i] < min_width) {
+      t.erase(t.begin() + static_cast<long>(i),
+              t.begin() + static_cast<long>(i + 2));
+      i = 0;
+    } else {
+      ++i;
+    }
+  }
+  return t;
+}
 
 TEST(DigitalWaveform, ConstantValue) {
   const DigitalWaveform w(true);
@@ -87,6 +107,39 @@ TEST(DigitalWaveform, InertialFilterCascades) {
   EXPECT_EQ(w.transitions().size(), 2u);
   EXPECT_TRUE(w.value_at(152.0));  // gap removed
   EXPECT_FALSE(w.value_at(250.0));
+}
+
+TEST(DigitalWaveform, InertialFilterMatchesRepeatedCollapse) {
+  // Random sorted lists on a 1 ps grid (so gaps equal to the width, and
+  // coincident toggles, occur), filtered at widths on and off the grid.
+  Rng rng(2026);
+  std::size_t collapsed = 0, at_width = 0;
+  for (int trial = 0; trial < 5000; ++trial) {
+    std::vector<double> t(rng.next_below(12));
+    double at = 0.0;
+    for (double& x : t) {
+      at += static_cast<double>(rng.next_below(25));
+      x = at;
+    }
+    const double width = trial % 3 == 0 ? 0.0
+                         : trial % 3 == 1
+                             ? static_cast<double>(rng.next_below(20))
+                             : rng.next_double_in(0.0, 20.0);
+    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+      if (t[i + 1] - t[i] == width) ++at_width;
+    }
+    const std::vector<double> expected = collapse_first_close_pair(t, width);
+    if (expected.size() < t.size()) ++collapsed;
+    std::vector<double> in_place = t;
+    in_place.resize(waveform::inertial_filter(in_place, width));
+    ASSERT_EQ(in_place, expected) << "trial " << trial;
+    DigitalWaveform w(false);
+    w.set_transitions(t);
+    w.inertial_filter(width);
+    ASSERT_EQ(w.transitions(), expected) << "trial " << trial;
+  }
+  EXPECT_GT(collapsed, 1000u);
+  EXPECT_GT(at_width, 100u);
 }
 
 TEST(DigitalWaveform, HasTransitionIn) {

@@ -208,6 +208,42 @@ TEST_F(ServiceTest, StaLintCoverageMatchDirectExecution) {
             run_coverage(*session, coverage_spec).output);
 }
 
+TEST_F(ServiceTest, LintSpecDecodedAtAdmissionMatchesDirectExecution) {
+  start(2, 8);
+  // A 160-stage inverter chain between two flip-flops, sent inline: deep
+  // enough for the hardened and certify rule families to pass.
+  std::string chain = "INPUT(a)\nOUTPUT(q)\nd0 = DFF(a)\n";
+  for (int i = 1; i <= 160; ++i) {
+    chain += "d" + std::to_string(i) + " = NOT(d" + std::to_string(i - 1) +
+             ")\n";
+  }
+  chain += "q = DFF(d160)\n";
+  const std::string design =
+      "\"design\":\"" + json::escape(chain) + "\",\"design_name\":\"chain\"";
+
+  LintSpec spec;
+  spec.text = chain;
+  spec.name = "chain";
+  spec.hardened = true;
+  spec.certify = true;
+  spec.json = false;
+  const LintOutcome direct = run_lint(spec, lib_);
+  const auto lint = call(
+      R"({"op":"lint","hardened":true,"certify":true,"format":"text",)" +
+      design + "}");
+  ASSERT_TRUE(lint.boolean("ok", false)) << lint.text("error", "");
+  EXPECT_EQ(lint.text("payload", ""), direct.output);
+  EXPECT_EQ(lint.boolean("failed", !direct.failed), direct.failed);
+
+  // The cross-field rule still refuses at admission.
+  const auto refused =
+      call(R"({"op":"lint","certify":true,)" + design + "}");
+  EXPECT_EQ(refused.text("code", ""), "bad_request");
+  EXPECT_NE(refused.text("error", "").find("'certify' requires 'hardened'"),
+            std::string::npos)
+      << refused.text("error", "");
+}
+
 TEST_F(ServiceTest, CertifyMatchesDirectExecution) {
   start(2, 8);
   const auto session = DesignSession::build("demo", kDesign, lib_);
