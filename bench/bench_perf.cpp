@@ -158,6 +158,37 @@ void BM_WideLogicSimCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_WideLogicSimCycle)->Arg(64)->Arg(256)->Arg(512);
 
+/// C7552 with output flip-flops: the design campaign-c7552 strikes.
+const Netlist& c7552() {
+  static const Netlist netlist = bench::clone_with_output_flip_flops(
+      bench::generate_benchmark(bench::find_benchmark("C7552"), library())
+          .netlist);
+  return netlist;
+}
+
+void BM_LaneSweep(benchmark::State& state) {
+  // One WideLogicSim::evaluate on generated C7552 (18,942 gates, 207 PIs
+  // and 108 FFs settled per sweep), the lane kernel's per-cycle golden
+  // step; items/s is sweeps/s, and the label names the dispatched body.
+  const std::size_t width = static_cast<std::size_t>(state.range(0));
+  static const auto context = sim::CompiledKernelContext::build(c7552());
+  sim::WideLogicSim sim(context->view, width);
+  Rng rng(7552);
+  for (std::size_t p = 0; p < context->view->num_primary_inputs(); ++p) {
+    for (std::size_t w = 0; w < sim.words_per_net(); ++w) {
+      sim.set_input_word(p, w, rng.next_u64());
+    }
+  }
+  for (auto _ : state) {
+    sim.evaluate();
+    benchmark::DoNotOptimize(sim.net_words(0));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetLabel(sim.isa_name());
+}
+BENCHMARK(BM_LaneSweep)->Arg(64)->Arg(256)->Arg(512);
+
 void BM_StrikeLaneBatch(benchmark::State& state) {
   // Full strike-lane batch resolution: up to `width` faulty variants of a
   // 10-cycle run classified per pass. Counters land in BENCH_perf.json

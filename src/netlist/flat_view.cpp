@@ -34,6 +34,8 @@ FlatNetlistView::FlatNetlistView(const Netlist& netlist)
   // ---- net source descriptors + fanout CSR --------------------------
   source_kind_.resize(num_nets, SourceKind::kNone);
   source_index_.resize(num_nets, 0);
+  pi_nets_.resize(num_pis_, 0);
+  ff_q_nets_.resize(netlist.num_flip_flops(), 0);
   net_fanout_offsets_.reserve(num_nets + 1);
   net_fanout_offsets_.push_back(0);
   for (std::size_t n = 0; n < num_nets; ++n) {
@@ -42,14 +44,17 @@ FlatNetlistView::FlatNetlistView(const Netlist& netlist)
       case DriverKind::kPrimaryInput:
         source_kind_[n] = SourceKind::kPrimaryInput;
         source_index_[n] = net.driver_index;
+        pi_nets_[net.driver_index] = static_cast<std::uint32_t>(n);
         break;
       case DriverKind::kFlipFlop:
         source_kind_[n] = SourceKind::kFlipFlop;
         source_index_[n] = net.driver_index;
+        ff_q_nets_[net.driver_index] = static_cast<std::uint32_t>(n);
         break;
       case DriverKind::kConstant:
         source_kind_[n] = SourceKind::kConstant;
         source_index_[n] = net.constant_value ? 1 : 0;
+        constant_nets_.push_back(static_cast<std::uint32_t>(n));
         break;
       case DriverKind::kGate:
         source_kind_[n] = SourceKind::kGate;
@@ -83,6 +88,15 @@ FlatNetlistView::FlatNetlistView(const Netlist& netlist)
     }
     fanout_pos_offsets_.push_back(
         static_cast<std::uint32_t>(fanout_pos_.size()));
+  }
+  sweep_gates_.reserve(num_gates);
+  for (std::uint32_t g : topo_order_) {
+    SweepGate& gate = sweep_gates_.emplace_back();
+    gate.out = gate_output_[g];
+    gate.truth = gate_truth_[g];
+    gate.arity = static_cast<std::uint8_t>(gate_num_inputs(g));
+    CWSP_REQUIRE(gate.arity >= 1 && gate.arity <= 4);  // Cell checks it too
+    std::copy_n(gate_inputs_begin(g), gate.arity, gate.in);
   }
   level_.resize(num_gates, 0);
   for (std::uint32_t g : topo_order_) {

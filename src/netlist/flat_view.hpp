@@ -9,8 +9,10 @@
 //
 //   * CSR gate-input lists and per-net fanout adjacency,
 //   * per-gate truth tables, arities, output nets and inertial delays,
-//   * per-net source descriptors (PI index / FF index / constant / gate),
+//   * per-net source descriptors (PI index / FF index / constant / gate)
+//     and the lists of PI, FF-Q and constant nets a sweep settles,
 //   * the memoized topological order, per-gate topo positions and levels,
+//     and one sweep record per gate in that order,
 //   * per-net fanout cones (the set of gates a glitch on that net can
 //     reach), computed on demand and memoized — the basis for
 //     cone-restricted event propagation.
@@ -98,12 +100,42 @@ class FlatNetlistView {
     return topo_order_;
   }
 
+  /// Everything a zero-delay sweep reads of one gate, in one 24-byte
+  /// record: the output net, the input nets in[0, arity) and the truth
+  /// table.
+  struct SweepGate {
+    std::uint32_t out = 0;
+    std::uint32_t in[4] = {};
+    std::uint16_t truth = 0;
+    std::uint8_t arity = 0;
+  };
+  static_assert(sizeof(SweepGate) == 24);
+  /// One SweepGate per gate, at the gate's topological position: a
+  /// sweep walks one contiguous array instead of the order plus four
+  /// gate-indexed ones.
+  [[nodiscard]] const std::vector<SweepGate>& sweep_gates() const {
+    return sweep_gates_;
+  }
+
   // ---------------------------------------------------------- nets
   [[nodiscard]] SourceKind source_kind(std::size_t net) const {
     return source_kind_[net];
   }
   [[nodiscard]] std::uint32_t source_index(std::size_t net) const {
     return source_index_[net];
+  }
+  /// The source nets a sweep settles before the first gate, so it never
+  /// scans the other nets' kinds: the net of primary input p at
+  /// pi_nets()[p], the Q net of flip-flop f at ff_q_nets()[f], and every
+  /// constant-driven net (source_index() is its value) in net order.
+  [[nodiscard]] const std::vector<std::uint32_t>& pi_nets() const {
+    return pi_nets_;
+  }
+  [[nodiscard]] const std::vector<std::uint32_t>& ff_q_nets() const {
+    return ff_q_nets_;
+  }
+  [[nodiscard]] const std::vector<std::uint32_t>& constant_nets() const {
+    return constant_nets_;
   }
   /// Fanout gates of net `net` as a contiguous [begin, end) range.
   [[nodiscard]] const std::uint32_t* net_fanout_begin(std::size_t net) const {
@@ -142,12 +174,16 @@ class FlatNetlistView {
   std::vector<std::uint32_t> level_;
   std::uint32_t num_levels_ = 0;
   std::vector<std::uint32_t> topo_order_;
+  std::vector<SweepGate> sweep_gates_;
 
   // Net arrays (indexed by net).
   std::vector<SourceKind> source_kind_;
   std::vector<std::uint32_t> source_index_;
   std::vector<std::uint32_t> net_fanout_offsets_;  // size num_nets + 1
   std::vector<std::uint32_t> net_fanout_gates_;
+  std::vector<std::uint32_t> pi_nets_;
+  std::vector<std::uint32_t> ff_q_nets_;
+  std::vector<std::uint32_t> constant_nets_;
 
   // Fanout adjacency by topological position (the cone sweep's): the
   // gates that read the output of the gate at position p sit at positions

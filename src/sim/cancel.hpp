@@ -2,10 +2,10 @@
 // Cooperative cancellation for long-running simulations.
 //
 // The simulators poll a CancelToken at cheap, frequent checkpoints (per
-// gate in the event simulator, per cycle in the protection protocol) and
-// abort by throwing CancelledError. Another thread may flip it with
-// cancel() (the service's job cancellation), or the token expires on its
-// own deadline.
+// gate in the event simulator, through cancelled_at, per cycle in the
+// protection protocol) and abort by throwing CancelledError. Another
+// thread may flip it with cancel() (the service's job cancellation), or
+// the token expires on its own deadline.
 //
 // A token's deadline is absolute (steady-clock). Once it passes,
 // cancelled() reports true without anyone calling cancel(), so no reaper
@@ -15,10 +15,12 @@
 // instead of killing the run) and a `deadline_ms` admitted at the service
 // boundary (coordinator → worker → EngineOptions::cancel). The clock is
 // only read when a deadline is armed, so deadline-free polling stays a
-// single relaxed load.
+// single relaxed load; cancelled_at also spaces the clock reads of a
+// per-gate poll kClockStride polls apart.
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/error.hpp"
@@ -37,6 +39,17 @@ class CancelToken {
   [[nodiscard]] bool cancelled() const {
     if (cancelled_.load(std::memory_order_relaxed)) return true;
     return deadline_expired();
+  }
+
+  /// Polls between reading the clock in cancelled_at.
+  static constexpr std::size_t kClockStride = 32;
+  /// cancelled() for the `poll`-th check of a hot loop (counting from 0):
+  /// an explicit cancel() is seen at every poll, but an armed deadline
+  /// reads the clock only at poll 0 and then once every kClockStride
+  /// polls, so a per-gate check costs one relaxed load on most gates.
+  [[nodiscard]] bool cancelled_at(std::size_t poll) const {
+    if (cancelled_.load(std::memory_order_relaxed)) return true;
+    return poll % kClockStride == 0 && deadline_expired();
   }
 
   /// Arms an absolute deadline; Clock::time_point::max() (or re-arming

@@ -94,30 +94,21 @@ const GoldenCycle& CompiledEventSim::golden_cycle(
   // Single table-driven logic pass over the flat arrays.
   GoldenCycle golden;
   golden.net_values.assign(view.num_nets(), 0);
-  for (std::size_t n = 0; n < view.num_nets(); ++n) {
-    switch (view.source_kind(n)) {
-      case FlatNetlistView::SourceKind::kPrimaryInput:
-        golden.net_values[n] = pi_values[view.source_index(n)] ? 1 : 0;
-        break;
-      case FlatNetlistView::SourceKind::kFlipFlop:
-        golden.net_values[n] = ff_q_values[view.source_index(n)] ? 1 : 0;
-        break;
-      case FlatNetlistView::SourceKind::kConstant:
-        golden.net_values[n] = static_cast<unsigned char>(view.source_index(n));
-        break;
-      default:
-        break;
-    }
+  for (std::size_t p = 0; p < pi_values.size(); ++p) {
+    golden.net_values[view.pi_nets()[p]] = pi_values[p] ? 1 : 0;
   }
-  for (std::uint32_t g : view.topo_order()) {
-    const std::uint32_t* in = view.gate_inputs_begin(g);
-    const std::uint32_t arity = view.gate_num_inputs(g);
+  for (std::size_t f = 0; f < ff_q_values.size(); ++f) {
+    golden.net_values[view.ff_q_nets()[f]] = ff_q_values[f] ? 1 : 0;
+  }
+  for (std::uint32_t n : view.constant_nets()) {
+    golden.net_values[n] = static_cast<unsigned char>(view.source_index(n));
+  }
+  for (const FlatNetlistView::SweepGate& g : view.sweep_gates()) {
     unsigned bits_in = 0;
-    for (std::uint32_t i = 0; i < arity; ++i) {
-      if (golden.net_values[in[i]] != 0) bits_in |= 1u << i;
+    for (std::uint32_t i = 0; i < g.arity; ++i) {
+      if (golden.net_values[g.in[i]] != 0) bits_in |= 1u << i;
     }
-    golden.net_values[view.gate_output(g)] =
-        (view.gate_truth(g) >> bits_in) & 1u;
+    golden.net_values[g.out] = (g.truth >> bits_in) & 1u;
   }
   golden.ff_d.reserve(view.num_flip_flops());
   for (std::size_t f = 0; f < view.num_flip_flops(); ++f) {
@@ -131,7 +122,30 @@ const GoldenCycle& CompiledEventSim::golden_cycle(
       .first->second;
 }
 
-void CompiledEventSim::propagate_cone(const GoldenCycle& golden,
+namespace {
+
+/// Net n's golden bit in a GoldenCycle.
+struct CycleBit {
+  const unsigned char* values;
+  bool operator()(std::uint32_t n) const { return values[n] != 0; }
+};
+
+/// Net n's golden bit in lane `shift` of lane word `word` of a settled
+/// plane with `stride` words per net.
+struct LaneBit {
+  const std::uint64_t* plane;
+  std::size_t stride;
+  std::size_t word;
+  unsigned shift;
+  bool operator()(std::uint32_t n) const {
+    return ((plane[n * stride + word] >> shift) & 1u) != 0;
+  }
+};
+
+}  // namespace
+
+template <class GoldenBit>
+void CompiledEventSim::propagate_cone(GoldenBit golden_bit,
                                       const set::Strike& strike) const {
   const FlatNetlistView& view = *context_->view;
   const std::vector<double>& delays = *context_->gate_delay_ps;
@@ -166,32 +180,40 @@ void CompiledEventSim::propagate_cone(const GoldenCycle& golden,
     double* pulse = room_for(2);
     pulse[0] = t0;
     pulse[1] = t1;
-    add_slot(struck, golden.net_values[struck] != 0, 2);
+    add_slot(struck, golden_bit(struck), 2);
   }
 
   // Every net without a slot holds its golden constant, and every slot
   // starts at its golden value (docs/perf.md §3), so a gate is decided by
   // its golden input bits and the toggles of its inputs that have slots.
   const CancelToken* const cancel = cancel_;
-  const unsigned char* const gold = golden.net_values.data();
   const std::uint32_t* const slot_of = slot_of_.data();
-  for (std::uint32_t g : view.cone_of(strike.node)) {
-    if (cancel != nullptr && cancel->cancelled()) {
+  const std::vector<std::uint32_t>& cone = view.cone_of(strike.node);
+  for (std::size_t k = 0; k < cone.size(); ++k) {
+    if (cancel != nullptr && cancel->cancelled_at(k)) {
       throw CancelledError("event simulation cancelled");
     }
+    const std::uint32_t g = cone[k];
     const std::uint32_t* in = view.gate_inputs_begin(g);
     const std::uint32_t arity = view.gate_num_inputs(g);
-    unsigned golden_bits = 0;
     unsigned live_bits = 0;
     std::uint32_t live_slot = kNone;
     for (std::uint32_t i = 0; i < arity; ++i) {
-      golden_bits |= static_cast<unsigned>(gold[in[i]] != 0) << i;
       const std::uint32_t slot = slot_of[in[i]];
       const bool live = slot != kNone;
       live_bits |= static_cast<unsigned>(live) << i;
       live_slot = live ? slot : live_slot;
     }
     if (live_bits == 0) continue;  // no input toggles: the output is golden
+    // A live input's golden bit is its slot's initial value, so only the
+    // side inputs read the golden cycle.
+    unsigned golden_bits = 0;
+    for (std::uint32_t i = 0; i < arity; ++i) {
+      const std::uint32_t slot = slot_of[in[i]];
+      const bool bit =
+          slot != kNone ? slots_[slot].initial : golden_bit(in[i]);
+      golden_bits |= static_cast<unsigned>(bit) << i;
+    }
 
     const std::uint16_t truth = view.gate_truth(g);
     const bool initial = ((truth >> golden_bits) & 1u) != 0;
@@ -256,6 +278,28 @@ void CompiledEventSim::propagate_cone(const GoldenCycle& golden,
   }
 }
 
+template <class Visit>
+void CompiledEventSim::visit_reached(Picoseconds capture_time,
+                                     Visit visit) const {
+  const std::size_t nff = context_->view->num_flip_flops();
+  const double t_capture = capture_time.value();
+  for (const Slot& slot : slots_) {
+    for (std::uint32_t e = endpoint_first_[slot.net]; e != kNone;
+         e = endpoint_next_[e]) {
+      ReachedEndpoint reached;
+      reached.endpoint = e;
+      reached.golden = slot.initial;
+      reached.latched =
+          waveform::value_at(toggles(slot), slot.initial, t_capture);
+      reached.aperture =
+          e < nff && waveform::has_transition_in(toggles(slot),
+                                                 t_capture - setup_ps_,
+                                                 t_capture + hold_ps_);
+      visit(reached);
+    }
+  }
+}
+
 namespace {
 
 /// Every endpoint at its golden sample: what a cycle captures where no
@@ -306,26 +350,32 @@ void CompiledEventSim::resolve_strike(const GoldenCycle& golden,
                golden.ff_d.size() == nff &&
                golden.po.size() == view.po_nets().size());
 
-  propagate_cone(golden, strike);
+  propagate_cone(CycleBit{golden.net_values.data()}, strike);
 
   // Endpoints on nets without a slot sample their golden constant.
   sample_golden(golden, out);
-  const double t_capture = capture_time.value();
-  for (const Slot& slot : slots_) {
-    for (std::uint32_t e = endpoint_first_[slot.net]; e != kNone;
-         e = endpoint_next_[e]) {
-      out.glitch_reached_endpoint = true;
-      const bool value = waveform::value_at(toggles(slot), slot.initial,
-                                            t_capture);
-      if (e < nff) {
-        out.latched_d[e] = value;
-        out.aperture_violation[e] = waveform::has_transition_in(
-            toggles(slot), t_capture - setup_ps_, t_capture + hold_ps_);
-      } else {
-        out.struck_po[e - nff] = value;
-      }
+  visit_reached(capture_time, [&](const ReachedEndpoint& reached) {
+    out.glitch_reached_endpoint = true;
+    if (reached.endpoint < nff) {
+      out.latched_d[reached.endpoint] = reached.latched;
+      out.aperture_violation[reached.endpoint] = reached.aperture;
+    } else {
+      out.struck_po[reached.endpoint - nff] = reached.latched;
     }
-  }
+  });
+}
+
+void CompiledEventSim::resolve_lane_strike(
+    const std::uint64_t* plane, std::size_t words_per_net, std::size_t lane,
+    Picoseconds capture_time, const set::Strike& strike,
+    std::vector<ReachedEndpoint>& reached) const {
+  CWSP_REQUIRE(plane != nullptr && lane < words_per_net * 64);
+  propagate_cone(LaneBit{plane, words_per_net, lane / 64,
+                         static_cast<unsigned>(lane % 64)},
+                 strike);
+  reached.clear();
+  visit_reached(capture_time,
+                [&](const ReachedEndpoint& r) { reached.push_back(r); });
 }
 
 DigitalWaveform CompiledEventSim::net_waveform(
@@ -335,7 +385,7 @@ DigitalWaveform CompiledEventSim::net_waveform(
   CWSP_REQUIRE(net.valid() && net.index() < view.num_nets());
   const GoldenCycle& golden = golden_cycle(pi_values, ff_q_values);
   if (strike.has_value()) {
-    propagate_cone(golden, *strike);
+    propagate_cone(CycleBit{golden.net_values.data()}, *strike);
     if (slot_of_[net.index()] != kNone) {
       const Slot& slot = slots_[slot_of_[net.index()]];
       DigitalWaveform wave(slot.initial);

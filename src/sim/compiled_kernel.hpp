@@ -15,7 +15,12 @@
 //     (3) all per-cycle state lives in reusable scratch buffers (one
 //     transition arena and one slot per toggling net) — steady-state
 //     simulation performs no heap allocation. Tests pin it bit for bit
-//     to the full-netlist EventSim oracle (tests/oracle).
+//     to the full-netlist EventSim oracle (tests/oracle). A resolution
+//     reads the golden value of the struck net and of the cone gates'
+//     side inputs only, from a GoldenCycle (resolve_strike) or in place
+//     from one lane of a settled WideLogicSim plane
+//     (resolve_lane_strike, which returns just the endpoints the pulse
+//     reached).
 //
 //   * CompiledKernelContext — the shareable immutable part (flat view +
 //     STA gate delays), built once per netlist and handed to every
@@ -85,6 +90,21 @@ struct GoldenCycle {
   std::vector<bool> po;
 };
 
+/// One timing endpoint a strike's pulse reached (a net with toggles that
+/// drives an FF D pin or a primary output), as resolve_lane_strike
+/// reports it.
+struct ReachedEndpoint {
+  /// Flip-flop e's D pin for e < #FFs, else primary output e - #FFs.
+  std::uint32_t endpoint = 0;
+  /// The golden sample: the net's initial value, which is always its
+  /// golden value (docs/perf.md §3).
+  bool golden = false;
+  /// The value at the capture edge.
+  bool latched = false;
+  /// A toggle inside the setup/hold aperture (false for an output).
+  bool aperture = false;
+};
+
 /// How the cone gates of the strikes a simulator resolved propagated the
 /// pulse (observability only; flushed as kernel.resolve.* counters).
 struct ResolveCounts {
@@ -120,11 +140,10 @@ class CompiledEventSim {
       Picoseconds capture_time,
       const std::optional<set::Strike>& strike) const;
 
-  /// Timed strike resolution against a caller-provided golden cycle —
-  /// the strike-lane kernel's entry: the lane planes already settled the
-  /// cycle, so this skips the golden cache and goes straight to the
-  /// cone-restricted event propagation + endpoint sampling. Bit-identical
-  /// to simulate_cycle() on the stimulus that produced `golden`.
+  /// Timed strike resolution against a caller-provided golden cycle: it
+  /// skips the golden cache and goes straight to the cone-restricted
+  /// event propagation + endpoint sampling. Bit-identical to
+  /// simulate_cycle() on the stimulus that produced `golden`.
   /// `golden.net_values` must span every net, but the only entries read
   /// are the struck net's and the inputs of the gates in
   /// FlatNetlistView::cone_of(strike.node); ff_d and po are read whole.
@@ -132,10 +151,22 @@ class CompiledEventSim {
   [[nodiscard]] CycleResult resolve_strike(const GoldenCycle& golden,
                                            Picoseconds capture_time,
                                            const set::Strike& strike) const;
-  /// The same resolution written into `out`, reusing its storage (the
-  /// lane kernel keeps one scratch result per simulator).
+  /// The same resolution written into `out`, reusing its storage.
   void resolve_strike(const GoldenCycle& golden, Picoseconds capture_time,
                       const set::Strike& strike, CycleResult& out) const;
+
+  /// The strike-lane kernel's entry: the same resolution on the golden
+  /// cycle that lane `lane` of a settled WideLogicSim plane holds — net
+  /// n's golden bit is bit lane % 64 of plane[n * words_per_net + lane /
+  /// 64], read in place and only for the nets resolve_strike reads. It
+  /// returns in `reached` (cleared first) only the endpoints the pulse
+  /// reached, in slot order; every other flip-flop latches its golden
+  /// value without an aperture violation, and every other output samples
+  /// golden. So a caller never copies or compares the unreached ones.
+  void resolve_lane_strike(const std::uint64_t* plane,
+                           std::size_t words_per_net, std::size_t lane,
+                           Picoseconds capture_time, const set::Strike& strike,
+                           std::vector<ReachedEndpoint>& reached) const;
 
   /// The waveform on `net` for the same scenario (for inspection and
   /// tests).
@@ -148,7 +179,10 @@ class CompiledEventSim {
   }
 
   /// Installs a cooperative cancellation token (nullptr detaches),
-  /// polled per cone gate; a cancelled token throws CancelledError.
+  /// polled per cone gate (CancelToken::cancelled_at: an explicit cancel
+  /// is seen at the next gate, a deadline at the first gate and then
+  /// every CancelToken::kClockStride gates); a cancelled token throws
+  /// CancelledError.
   void set_cancel_token(const CancelToken* token) { cancel_ = token; }
 
   /// Clean-run step: settled PO values and next FF state for one stimulus,
@@ -207,10 +241,16 @@ class CompiledEventSim {
   };
   static constexpr std::uint32_t kNone = 0xffffffffu;
 
-  /// Event-simulates the struck net's cone against `golden`, leaving one
-  /// slot per toggling net in slots_ (cone order) until the next call.
-  void propagate_cone(const GoldenCycle& golden,
-                      const set::Strike& strike) const;
+  /// Event-simulates the struck net's cone, leaving one slot per
+  /// toggling net in slots_ (cone order) until the next call.
+  /// `golden_bit(n)` is net n's settled golden value (a GoldenCycle entry
+  /// or a lane of a plane).
+  template <class GoldenBit>
+  void propagate_cone(GoldenBit golden_bit, const set::Strike& strike) const;
+  /// Calls visit(ReachedEndpoint) for each endpoint on a slot's net, in
+  /// slot order, sampled at `capture_time`.
+  template <class Visit>
+  void visit_reached(Picoseconds capture_time, Visit visit) const;
 
   [[nodiscard]] std::span<const double> toggles(const Slot& slot) const {
     return {arena_.data() + slot.offset, slot.length};

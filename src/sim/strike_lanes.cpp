@@ -13,12 +13,8 @@ namespace detail {
 // compiler supports the matching flags (CMake gates the sources and the
 // CWSP_LANES_HAVE_* defines together, so the guarded references below
 // never dangle).
-void pack_stream_draws_avx2(std::uint64_t seed, const std::size_t* streams,
-                            std::size_t count, std::size_t draws,
-                            std::uint64_t* out);
-void pack_stream_draws_avx512(std::uint64_t seed, const std::size_t* streams,
-                              std::size_t count, std::size_t draws,
-                              std::uint64_t* out);
+extern const LaneOps kAvx2Ops;
+extern const LaneOps kAvx512Ops;
 }  // namespace detail
 
 namespace {
@@ -40,37 +36,28 @@ bool cpu_has_avx512f() {
 }
 
 // Portable bodies — always compiled, so every width runs on every
-// machine. Every entry sweeps on them; the ISA entries swap in their
-// vectorized stimulus body, which is a bit-identical acceleration.
+// machine. The ISA units instantiate the same bodies (sweeps and
+// stimulus) under -mavx2 / -mavx512f; the results are bit-identical.
 struct Portable {};  // this TU's instantiation tag (see strike_lanes_impl.hpp)
 
 template <std::size_t K>
-constexpr LaneOps portable_ops(
-    const char* name, decltype(LaneOps::pack_stream_draws) stimulus =
-                          &pack_stream_draws_body<K, Portable>) {
-  return LaneOps{name, K, &LaneKernelCore<K>::evaluate,
-                 &LaneKernelCore<K>::evaluate_with_flip, stimulus};
+constexpr LaneOps portable_ops(const char* name) {
+  return LaneOps{name, K, &LaneKernelCore<K, Portable>::evaluate,
+                 &LaneKernelCore<K, Portable>::evaluate_with_flip,
+                 &pack_stream_draws_body<K, Portable>};
 }
 
 constexpr LaneOps kScalar64 = portable_ops<1>("scalar-64");
 constexpr LaneOps kPortable256 = portable_ops<4>("portable-256");
 constexpr LaneOps kPortable512 = portable_ops<8>("portable-512");
-#if defined(CWSP_LANES_HAVE_AVX2)
-constexpr LaneOps kAvx2 =
-    portable_ops<4>("avx2-256", &detail::pack_stream_draws_avx2);
-#endif
-#if defined(CWSP_LANES_HAVE_AVX512)
-constexpr LaneOps kAvx512 =
-    portable_ops<8>("avx512-512", &detail::pack_stream_draws_avx512);
-#endif
 
 const LaneOps* resolve_ops(std::size_t lane_width) {
   if (lane_width == 0) {
 #if defined(CWSP_LANES_HAVE_AVX512)
-    if (cpu_has_avx512f()) return &kAvx512;
+    if (cpu_has_avx512f()) return &detail::kAvx512Ops;
 #endif
 #if defined(CWSP_LANES_HAVE_AVX2)
-    if (cpu_has_avx2()) return &kAvx2;
+    if (cpu_has_avx2()) return &detail::kAvx2Ops;
 #endif
     return &kScalar64;
   }
@@ -79,12 +66,12 @@ const LaneOps* resolve_ops(std::size_t lane_width) {
       return &kScalar64;
     case 256:
 #if defined(CWSP_LANES_HAVE_AVX2)
-      if (cpu_has_avx2()) return &kAvx2;
+      if (cpu_has_avx2()) return &detail::kAvx2Ops;
 #endif
       return &kPortable256;
     case 512:
 #if defined(CWSP_LANES_HAVE_AVX512)
-      if (cpu_has_avx512f()) return &kAvx512;
+      if (cpu_has_avx512f()) return &detail::kAvx512Ops;
 #endif
       return &kPortable512;
     default:
@@ -196,12 +183,31 @@ void WideLogicSim::fill_ff(std::size_t ff, bool value) {
   }
 }
 
-void WideLogicSim::evaluate() { ops_->evaluate(*this); }
+void WideLogicSim::evaluate() {
+  clear_overlay();
+  ops_->evaluate(*view_, pi_words_.data(), ff_words_.data(),
+                 net_words_.data());
+}
+
+void WideLogicSim::clear_overlay() {
+  if (overlay_site_ == kNoSite) return;
+  overlay_valid_[overlay_site_] = 0;
+  for (std::uint32_t g : view_->cone_of(NetId{overlay_site_})) {
+    overlay_valid_[view_->gate_output(g)] = 0;
+  }
+  overlay_site_ = kNoSite;
+}
 
 void WideLogicSim::evaluate_with_flip(NetId site) {
   CWSP_REQUIRE(site.valid() && site.index() < view_->num_nets());
-  ops_->evaluate_with_flip(*this,
-                           static_cast<std::uint32_t>(site.index()));
+  if (overlay_words_.size() != net_words_.size()) {
+    overlay_words_.assign(net_words_.size(), 0);
+    overlay_valid_.assign(view_->num_nets(), 0);
+  }
+  clear_overlay();
+  overlay_site_ = static_cast<std::uint32_t>(site.index());
+  ops_->evaluate_with_flip(*view_, overlay_site_, net_words_.data(),
+                           overlay_words_.data(), overlay_valid_.data());
 }
 
 void WideLogicSim::clock() {
@@ -247,28 +253,6 @@ StrikeLaneSim::StrikeLaneSim(
       faulty_(context_->view, lane_width),
       event_(context_->view->netlist(), context_) {
   CWSP_REQUIRE(context_ != nullptr);
-  const FlatNetlistView& view = *context_->view;
-  lane_golden_.net_values.assign(view.num_nets(), 0);
-  lane_golden_.ff_d.assign(view.num_flip_flops(), false);
-  lane_golden_.po.assign(view.po_nets().size(), false);
-}
-
-void StrikeLaneSim::gather_cone(std::size_t lane, NetId node) {
-  const FlatNetlistView& view = *context_->view;
-  const std::vector<std::uint32_t>& cone = view.cone_of(node);
-  const std::size_t wl = lane / 64;
-  const unsigned shift = lane % 64;
-  auto copy_bit = [&](std::uint32_t n) {
-    lane_golden_.net_values[n] =
-        static_cast<unsigned char>((golden_.net_words(n)[wl] >> shift) & 1u);
-  };
-  copy_bit(static_cast<std::uint32_t>(node.index()));
-  for (std::uint32_t g : cone) {
-    const std::uint32_t* in = view.gate_inputs_begin(g);
-    for (std::uint32_t i = 0; i < view.gate_num_inputs(g); ++i) {
-      copy_bit(in[i]);
-    }
-  }
 }
 
 void StrikeLaneSim::run_batch(const std::vector<LaneScenario>& batch,
@@ -336,7 +320,7 @@ void StrikeLaneSim::run_packed(const std::vector<LaneScenario>& batch,
   lane_slots_ += lanes();
 
   // Build the batch's cold cones back to back, before the planes' sweeps
-  // evict the view from cache; gather_cone then only looks them up.
+  // evict the view from cache; resolution then only looks them up.
   for (const LaneScenario& sc : batch) {
     if (sc.cycle >= cycles) continue;
     (void)view.cone_of(sc.strike.node);
@@ -355,6 +339,8 @@ void StrikeLaneSim::run_packed(const std::vector<LaneScenario>& batch,
   };
   std::vector<PendingDivergence> pending;
   std::vector<std::size_t> diverged_lanes;
+  // The golden plane's words, net-major: what resolution reads in place.
+  const std::uint64_t* plane = golden_.net_words(0);
 
   for (std::size_t t = 0; t < cycles; ++t) {
     const std::uint64_t* cycle_stimulus = stimulus.data() + t * cycle_words;
@@ -362,59 +348,46 @@ void StrikeLaneSim::run_packed(const std::vector<LaneScenario>& batch,
     if (divergent) faulty_.set_input_words(cycle_stimulus);
     golden_.evaluate();
 
-    // Timed resolution for lanes striking this cycle: gather the lane's
-    // settled golden bits that the event-driven resolver reads and hand
-    // them over — latching-window and aperture questions are decided in
-    // continuous time exactly as the scalar kernel decides them.
+    // Timed resolution for lanes striking this cycle, read straight from
+    // the settled golden plane: latching-window and aperture questions
+    // are decided in continuous time exactly as the scalar kernel decides
+    // them, and only the endpoints a pulse reached come back.
     for (std::size_t l = 0; l < B; ++l) {
       if (batch[l].cycle != t) continue;
       out[l].fired = true;
-      ++timed_resolutions_;
 
-      gather_cone(l, batch[l].strike.node);
-      if (batch[l].node2.valid()) gather_cone(l, batch[l].node2);
-      const std::size_t wl = l / 64;
-      const unsigned shift = l % 64;
-      for (std::size_t f = 0; f < nff; ++f) {
-        lane_golden_.ff_d[f] =
-            ((golden_.net_words(view.ff_d_net(f))[wl] >> shift) & 1u) != 0;
-      }
-      for (std::size_t p = 0; p < view.po_nets().size(); ++p) {
-        lane_golden_.po[p] =
-            ((golden_.net_words(view.po_nets()[p])[wl] >> shift) & 1u) != 0;
-      }
-
-      CycleResult& cr = resolved_;
-      event_.resolve_strike(lane_golden_, clock_period_, batch[l].strike, cr);
+      // A charge-sharing double strike resolves each node's SET against
+      // the same settled cycle and superposes them: an FF that one half
+      // flips latches the complement of golden, an FF both halves flip
+      // re-latches golden (symmetric difference), and aperture
+      // violations accumulate.
       PendingDivergence div;
       div.lane = l;
-      if (!batch[l].node2.valid()) {
-        for (std::size_t f = 0; f < nff; ++f) {
-          if (cr.latched_d[f] != cr.golden_d[f]) {
-            div.flipped_ffs.emplace_back(f, cr.latched_d[f]);
-          }
-          if (cr.aperture_violation[f]) out[l].aperture = true;
-        }
-      } else {
-        // Charge-sharing double strike: resolve each node's SET against
-        // the same settled cycle and superpose — a capture both strikes
-        // flip re-latches the golden value (symmetric difference), and
-        // aperture violations accumulate. Both halves share the golden
-        // cycle, so the first half's latched values are all the second
-        // needs of it.
+      const set::Strike halves[] = {
+          batch[l].strike,
+          {batch[l].node2, batch[l].strike.start, batch[l].strike.width}};
+      for (std::size_t h = 0; h < (batch[l].node2.valid() ? 2u : 1u); ++h) {
         ++timed_resolutions_;
-        first_latched_ = cr.latched_d;
-        for (std::size_t f = 0; f < nff; ++f) {
-          if (cr.aperture_violation[f]) out[l].aperture = true;
-        }
-        const set::Strike second{batch[l].node2, batch[l].strike.start,
-                                 batch[l].strike.width};
-        event_.resolve_strike(lane_golden_, clock_period_, second, cr);
-        for (std::size_t f = 0; f < nff; ++f) {
-          if (first_latched_[f] != cr.latched_d[f]) {
-            div.flipped_ffs.emplace_back(f, !static_cast<bool>(cr.golden_d[f]));
+        event_.resolve_lane_strike(plane, words, l, clock_period_, halves[h],
+                                   reached_);
+        for (const ReachedEndpoint& r : reached_) {
+          if (r.endpoint >= nff) continue;  // a primary output
+          if (r.aperture) out[l].aperture = true;
+          if (r.latched == r.golden) continue;
+          // An FF appears once per half, so only the second half can
+          // find one already flipped.
+          const auto both =
+              h == 0 ? div.flipped_ffs.end()
+                     : std::find_if(div.flipped_ffs.begin(),
+                                    div.flipped_ffs.end(),
+                                    [&](const auto& flip) {
+                                      return flip.first == r.endpoint;
+                                    });
+          if (both != div.flipped_ffs.end()) {
+            div.flipped_ffs.erase(both);
+          } else {
+            div.flipped_ffs.emplace_back(r.endpoint, r.latched);
           }
-          if (cr.aperture_violation[f]) out[l].aperture = true;
         }
       }
       out[l].latched_diff = !div.flipped_ffs.empty();

@@ -7,15 +7,17 @@
 //
 //   * WideLogicSim — the bit-parallel zero-delay simulator: every net
 //     carries K consecutive 64-bit words (K = 1/4/8 → 64/256/512
-//     lanes), and the topological sweep is instantiated once per K.
-//     The packed-stimulus body (pack_stream_draws) is also compiled
-//     in separate translation units for the matching ISA (AVX2 for
-//     K=4 and AVX-512 for K=8 when the compiler supports the flags;
-//     strike_lanes_impl.hpp says why the sweeps are not). Dispatch is
-//     resolved at runtime from CPUID, with an explicit width override
-//     for differential tests, so every width is runnable on every
-//     machine and results are bit-identical between the portable and
-//     vectorized bodies by construction (same scalar semantics,
+//     lanes). A sweep settles the PI, FF-Q and constant nets from the
+//     view's source lists and evaluates each gate record in topological
+//     order with one branch-free mux-tree body per arity
+//     (strike_lanes_impl.hpp). The bodies — sweeps, flip sweeps and the
+//     packed-stimulus body pack_stream_draws — are instantiated per K for
+//     the baseline ISA, and again in separate translation units for AVX2
+//     (K=4) and AVX-512 (K=8) when the compiler supports the flags.
+//     Dispatch is resolved at runtime from CPUID, with an explicit width
+//     override for differential tests, so every width is runnable on
+//     every machine and results are bit-identical between the portable
+//     and vectorized bodies by construction (same scalar semantics,
 //     word-parallel).
 //
 //   * StrikeLaneSim — the campaign batch engine built on two
@@ -23,19 +25,20 @@
 //     strike scenario: the golden plane advances the clean trajectory
 //     of every lane's stimulus, which arrives already packed as lane
 //     words (run_packed; run_batch packs per-lane vectors first); on
-//     each lane's strike cycle only the settled golden bits the timed
-//     resolver reads — the struck net, the inputs of its fanout cone's
-//     gates, the FF-D and PO samples — are gathered from that lane and
-//     handed to the timed CompiledEventSim for exact glitch-window
-//     resolution (latching / aperture masking are analog-time questions
+//     each lane's strike cycle the timed CompiledEventSim resolves the
+//     strike against that lane of the settled golden plane, reading the
+//     bits it needs in place (resolve_lane_strike), and returns only the
+//     FF-D and PO endpoints the pulse reached — the multi-SEU image of
+//     the SET (latching / aperture masking are analog-time questions
 //     the boolean planes cannot answer); lanes whose capture escapes the
-//     CWSP envelope seed the faulty plane, whose lane-diff against the
-//     golden plane then counts silently-corrupted commits cycle by
-//     cycle. Everything else about the §3.2 protocol (bubbles, detected
-//     errors, spurious recomputes) is a deterministic function of these
-//     per-lane facts and is reconstructed analytically by the campaign
-//     layer — which is what keeps lane-kernel reports byte-identical to
-//     the scalar ProtectionSim at any lane width and any job count.
+//     CWSP envelope seed the faulty plane with the flip-flops they
+//     flipped, whose lane-diff against the golden plane then counts
+//     silently-corrupted commits cycle by cycle. Everything else about
+//     the §3.2 protocol (bubbles, detected errors, spurious recomputes)
+//     is a deterministic function of these per-lane facts and is
+//     reconstructed analytically by the campaign layer — which is what
+//     keeps lane-kernel reports byte-identical to the scalar
+//     ProtectionSim at any lane width and any job count.
 //
 // A WideLogicSim / StrikeLaneSim instance is NOT thread-safe; create one
 // per worker and share the immutable context.
@@ -48,15 +51,21 @@
 
 namespace cwsp::sim {
 
-class WideLogicSim;
-
 /// One compiled set of lane bodies: the function-pointer vtable the
-/// runtime dispatcher selects from. `words` is the per-net word count K.
+/// runtime dispatcher selects from. `words` is the per-net word count K;
+/// every array holds K words per entity (strike_lanes_impl.hpp).
 struct LaneOps {
   const char* name = "";
   std::size_t words = 1;
-  void (*evaluate)(WideLogicSim&) = nullptr;
-  void (*evaluate_with_flip)(WideLogicSim&, std::uint32_t site) = nullptr;
+  /// Settles `net` from the primary-input and flip-flop words.
+  void (*evaluate)(const FlatNetlistView& view, const std::uint64_t* pi,
+                   const std::uint64_t* ff, std::uint64_t* net) = nullptr;
+  /// Writes `site` inverted and its fanout cone into `overlay`, reading
+  /// inputs from `overlay` where `valid` is set and from `net` elsewhere;
+  /// sets `valid` on every net it writes.
+  void (*evaluate_with_flip)(const FlatNetlistView& view, std::uint32_t site,
+                             const std::uint64_t* net, std::uint64_t* overlay,
+                             char* valid) = nullptr;
   /// pack_stream_draws for `count` <= words * 64 streams.
   void (*pack_stream_draws)(std::uint64_t seed, const std::size_t* streams,
                             std::size_t count, std::size_t draws,
@@ -133,8 +142,8 @@ class WideLogicSim {
   [[nodiscard]] const Netlist& netlist() const { return view_->netlist(); }
 
  private:
-  template <std::size_t K>
-  friend struct LaneKernelCore;
+  /// Drops the last flip overlay (marks its nets invalid again).
+  void clear_overlay();
 
   std::shared_ptr<const FlatNetlistView> view_;
   const LaneOps* ops_;
@@ -145,11 +154,12 @@ class WideLogicSim {
   std::vector<std::uint64_t> ff_words_;
 
   // Flip-overlay scratch (evaluate_with_flip / flip_diff_word). Sparse:
-  // only the nets in overlay_nets_ carry overlay values; reset is
-  // O(touched).
+  // only the flipped site and its cone's outputs carry overlay values;
+  // reset walks that cone again.
   std::vector<std::uint64_t> overlay_words_;
   std::vector<char> overlay_valid_;
-  std::vector<std::uint32_t> overlay_nets_;
+  static constexpr std::uint32_t kNoSite = 0xffffffffu;
+  std::uint32_t overlay_site_ = kNoSite;
 };
 
 /// Coin flips straight from RNG streams into lane words, on the body that
@@ -238,25 +248,17 @@ class StrikeLaneSim {
   }
 
  private:
-  /// Copies lane `lane`'s settled golden bits of the nets resolve_strike
-  /// reads for a strike on `node` into lane_golden_.net_values.
-  void gather_cone(std::size_t lane, NetId node);
-
   std::shared_ptr<const CompiledKernelContext> context_;
   Picoseconds clock_period_;
   Picoseconds delta_;
   WideLogicSim golden_;
   WideLogicSim faulty_;
   /// Timed strike-cycle resolver (golden cache unused on this path: the
-  /// golden plane already settled the cycle; see resolve_strike).
+  /// golden plane already settled the cycle; see resolve_lane_strike).
   CompiledEventSim event_;
-  /// Scratch for per-lane golden extraction. net_values is sized once;
-  /// entries outside the current strike's read set hold stale bits.
-  GoldenCycle lane_golden_;
-  /// The resolution of the lane being extracted (both halves of a double
-  /// strike, one after the other), and the first half's latched values.
-  CycleResult resolved_;
-  std::vector<bool> first_latched_;
+  /// The endpoints the lane being resolved reached (each half of a
+  /// double strike in turn).
+  std::vector<ReachedEndpoint> reached_;
   /// run_batch's packed copy of the scenarios' stimulus.
   std::vector<std::uint64_t> stimulus_;
 

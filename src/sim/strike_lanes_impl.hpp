@@ -1,125 +1,141 @@
 #pragma once
 // Templated lane bodies, instantiated once per lane width K (words per
-// net): the sweeps of WideLogicSim and the stimulus body behind
-// pack_stream_draws. The code is plain word-parallel C++ — no
+// net) and per ISA: the sweeps of WideLogicSim and the stimulus body
+// behind pack_stream_draws. The code is plain word-parallel C++ — no
 // intrinsics — so every instantiation shares one definition and
 // identical scalar semantics at every width is structural, not something
 // tests merely hope for.
 //
-// strike_lanes.cpp instantiates the sweeps for the baseline ISA, and
-// every width sweeps on them. The -mavx2 / -mavx512f translation units
-// instantiate only the stimulus body, whose 64 independent RNG steps per
-// lane word vectorize cleanly. The sweeps do not: compiled with
-// -mavx512f at -O3, GCC 12 scalarizes the K = 8 sum-of-products loop and
-// runs the C7552 golden sweep about 2x slower than the baseline build.
+// strike_lanes.cpp instantiates every body for the baseline ISA; the
+// -mavx2 (K = 4) and -mavx512f (K = 8) translation units instantiate them
+// again under their own tags, and the dispatcher picks a unit by CPUID.
+// The bodies take raw arrays and call no out-of-line template, so an ISA
+// unit defines no weak symbol the linker could hand to baseline callers
+// (ci/check-isa-bodies.sh checks both that and the vector registers).
+//
+// A sweep settles the sources from the view's lists of PI, FF-Q and
+// constant nets, then walks the view's topologically ordered gate records
+// (FlatNetlistView::sweep_gates; a flip sweep reaches a cone gate's
+// record through its topological position). Each gate runs one
+// branch-free body for its arity: its input rows are copied to locals,
+// and the output is a Shannon mux tree over the truth table's constant
+// row masks — level 0 selects between adjacent rows on input 0, and each
+// further level halves the tree on the next input. With K and the arity
+// known at compile time the tree unrolls into straight-line bitwise
+// selects on whole lane rows (on AVX-512 an inverter is two broadcasts,
+// one vpternlogq and one store).
 
 #include "common/rng.hpp"
 #include "netlist/flat_view.hpp"
-#include "sim/strike_lanes.hpp"
 
 namespace cwsp::sim {
 
-template <std::size_t K>
+/// `Isa` is a tag type each including TU declares in an unnamed
+/// namespace. It gives that TU's instantiations internal linkage:
+/// without it, an -mavx512f instantiation and the baseline one of the
+/// same K are one symbol to the linker, which keeps either copy for both.
+template <std::size_t K, class Isa>
 struct LaneKernelCore {
-  static void evaluate(WideLogicSim& s) {
-    const FlatNetlistView& view = *s.view_;
-    std::uint64_t* net = s.net_words_.data();
-    const std::uint64_t* pi = s.pi_words_.data();
-    const std::uint64_t* ff = s.ff_words_.data();
-
-    for (std::size_t n = 0; n < view.num_nets(); ++n) {
-      std::uint64_t* dst = net + n * K;
-      switch (view.source_kind(n)) {
-        case FlatNetlistView::SourceKind::kPrimaryInput: {
-          const std::uint64_t* src = pi + view.source_index(n) * K;
-          for (std::size_t w = 0; w < K; ++w) dst[w] = src[w];
-          break;
-        }
-        case FlatNetlistView::SourceKind::kFlipFlop: {
-          const std::uint64_t* src = ff + view.source_index(n) * K;
-          for (std::size_t w = 0; w < K; ++w) dst[w] = src[w];
-          break;
-        }
-        case FlatNetlistView::SourceKind::kConstant: {
-          const std::uint64_t fill = view.source_index(n) != 0 ? ~0ull : 0ull;
-          for (std::size_t w = 0; w < K; ++w) dst[w] = fill;
-          break;
-        }
-        default:
-          break;
-      }
-    }
-    for (std::uint32_t g : view.topo_order()) {
-      const std::uint32_t* in = view.gate_inputs_begin(g);
-      const std::uint32_t arity = view.gate_num_inputs(g);
-      const std::uint16_t truth = view.gate_truth(g);
-      // Sum-of-products over the truth table, lane-parallel per word.
-      std::uint64_t out[K] = {};
-      const unsigned combos = 1u << arity;
-      for (unsigned a = 0; a < combos; ++a) {
-        if (((truth >> a) & 1u) == 0) continue;
-        std::uint64_t term[K];
-        for (std::size_t w = 0; w < K; ++w) term[w] = ~0ull;
-        for (std::uint32_t i = 0; i < arity; ++i) {
-          const std::uint64_t* iw = net + in[i] * K;
-          if (((a >> i) & 1u) != 0) {
-            for (std::size_t w = 0; w < K; ++w) term[w] &= iw[w];
-          } else {
-            for (std::size_t w = 0; w < K; ++w) term[w] &= ~iw[w];
-          }
-        }
-        for (std::size_t w = 0; w < K; ++w) out[w] |= term[w];
-      }
-      std::uint64_t* dst = net + view.gate_output(g) * K;
-      for (std::size_t w = 0; w < K; ++w) dst[w] = out[w];
-    }
-    for (std::uint32_t n : s.overlay_nets_) s.overlay_valid_[n] = 0;
-    s.overlay_nets_.clear();
+  /// All ones where row `row` of the truth table is 1.
+  static std::uint64_t row_mask(std::uint16_t truth, unsigned row) {
+    return 0 - static_cast<std::uint64_t>((truth >> row) & 1u);
   }
 
-  static void evaluate_with_flip(WideLogicSim& s, std::uint32_t site) {
-    const FlatNetlistView& view = *s.view_;
-    const std::uint64_t* net = s.net_words_.data();
-    if (s.overlay_words_.size() != s.net_words_.size()) {
-      s.overlay_words_.assign(s.net_words_.size(), 0);
-      s.overlay_valid_.assign(view.num_nets(), 0);
+  /// One gate of arity A: out = truth[inputs], per lane. `row(n)` is net
+  /// n's K input words.
+  template <unsigned A, class Row>
+  static void gate(std::uint16_t truth, const std::uint32_t* in, Row row,
+                   std::uint64_t* out) {
+    std::uint64_t x[A][K];
+    for (unsigned i = 0; i < A; ++i) {
+      const std::uint64_t* words = row(in[i]);
+      for (std::size_t w = 0; w < K; ++w) x[i][w] = words[w];
     }
-    std::uint64_t* overlay = s.overlay_words_.data();
-    for (std::uint32_t n : s.overlay_nets_) s.overlay_valid_[n] = 0;
-    s.overlay_nets_.clear();
-
-    for (std::size_t w = 0; w < K; ++w) {
-      overlay[site * K + w] = ~net[site * K + w];
-    }
-    s.overlay_valid_[site] = 1;
-    s.overlay_nets_.push_back(site);
-
-    for (std::uint32_t g : view.cone_of(NetId{site})) {
-      const std::uint32_t* in = view.gate_inputs_begin(g);
-      const std::uint32_t arity = view.gate_num_inputs(g);
-      const std::uint16_t truth = view.gate_truth(g);
-      std::uint64_t out[K] = {};
-      const unsigned combos = 1u << arity;
-      for (unsigned a = 0; a < combos; ++a) {
-        if (((truth >> a) & 1u) == 0) continue;
-        std::uint64_t term[K];
-        for (std::size_t w = 0; w < K; ++w) term[w] = ~0ull;
-        for (std::uint32_t i = 0; i < arity; ++i) {
-          const std::uint32_t n = in[i];
-          const std::uint64_t* iw =
-              (s.overlay_valid_[n] != 0 ? overlay : net) + n * K;
-          if (((a >> i) & 1u) != 0) {
-            for (std::size_t w = 0; w < K; ++w) term[w] &= iw[w];
-          } else {
-            for (std::size_t w = 0; w < K; ++w) term[w] &= ~iw[w];
-          }
-        }
-        for (std::size_t w = 0; w < K; ++w) out[w] |= term[w];
+    constexpr unsigned kHalf = 1u << (A - 1);
+    std::uint64_t node[kHalf][K];
+    for (unsigned r = 0; r < kHalf; ++r) {
+      const std::uint64_t lo = row_mask(truth, 2 * r);
+      const std::uint64_t hi = row_mask(truth, 2 * r + 1);
+      for (std::size_t w = 0; w < K; ++w) {
+        node[r][w] = (x[0][w] & hi) | (~x[0][w] & lo);
       }
-      const std::uint32_t out_net = view.gate_output(g);
-      for (std::size_t w = 0; w < K; ++w) overlay[out_net * K + w] = out[w];
-      s.overlay_valid_[out_net] = 1;
-      s.overlay_nets_.push_back(out_net);
+    }
+    for (unsigned i = 1; i < A; ++i) {
+      for (unsigned r = 0; r < (kHalf >> i); ++r) {
+        for (std::size_t w = 0; w < K; ++w) {
+          node[r][w] =
+              (x[i][w] & node[2 * r + 1][w]) | (~x[i][w] & node[2 * r][w]);
+        }
+      }
+    }
+    for (std::size_t w = 0; w < K; ++w) out[w] = node[0][w];
+  }
+
+  /// One sweep record, inputs read through `row`.
+  template <class Row>
+  static void gate(const FlatNetlistView::SweepGate& g, Row row,
+                   std::uint64_t* out) {
+    switch (g.arity) {  // 1-4 (the view checks)
+      case 1:
+        gate<1>(g.truth, g.in, row, out);
+        break;
+      case 2:
+        gate<2>(g.truth, g.in, row, out);
+        break;
+      case 3:
+        gate<3>(g.truth, g.in, row, out);
+        break;
+      default:
+        gate<4>(g.truth, g.in, row, out);
+        break;
+    }
+  }
+
+  /// Settles every net of every lane: sources from `pi` / `ff` (K words
+  /// per entity), then one topological pass.
+  static void evaluate(const FlatNetlistView& view, const std::uint64_t* pi,
+                       const std::uint64_t* ff, std::uint64_t* net) {
+    const std::vector<std::uint32_t>& pi_nets = view.pi_nets();
+    for (std::size_t p = 0; p < pi_nets.size(); ++p) {
+      std::uint64_t* dst = net + std::size_t{pi_nets[p]} * K;
+      for (std::size_t w = 0; w < K; ++w) dst[w] = pi[p * K + w];
+    }
+    const std::vector<std::uint32_t>& ff_q_nets = view.ff_q_nets();
+    for (std::size_t f = 0; f < ff_q_nets.size(); ++f) {
+      std::uint64_t* dst = net + std::size_t{ff_q_nets[f]} * K;
+      for (std::size_t w = 0; w < K; ++w) dst[w] = ff[f * K + w];
+    }
+    for (std::uint32_t n : view.constant_nets()) {
+      const std::uint64_t fill = view.source_index(n) != 0 ? ~0ull : 0ull;
+      for (std::size_t w = 0; w < K; ++w) net[std::size_t{n} * K + w] = fill;
+    }
+    const auto row = [net](std::uint32_t n) {
+      return net + std::size_t{n} * K;
+    };
+    for (const FlatNetlistView::SweepGate& g : view.sweep_gates()) {
+      gate(g, row, net + std::size_t{g.out} * K);
+    }
+  }
+
+  /// Writes `site` inverted and its cone re-evaluated into `overlay`,
+  /// reading each input from `overlay` where `valid` is set (the nets
+  /// written so far) and from `net` elsewhere, and sets `valid` on every
+  /// net it writes.
+  static void evaluate_with_flip(const FlatNetlistView& view,
+                                 std::uint32_t site, const std::uint64_t* net,
+                                 std::uint64_t* overlay, char* valid) {
+    for (std::size_t w = 0; w < K; ++w) {
+      overlay[std::size_t{site} * K + w] = ~net[std::size_t{site} * K + w];
+    }
+    valid[site] = 1;
+    const auto row = [net, overlay, valid](std::uint32_t n) {
+      return (valid[n] != 0 ? overlay : net) + std::size_t{n} * K;
+    };
+    const FlatNetlistView::SweepGate* gates = view.sweep_gates().data();
+    for (std::uint32_t g : view.cone_of(NetId{site})) {
+      const FlatNetlistView::SweepGate& r = gates[view.topo_position(g)];
+      gate(r, row, overlay + std::size_t{r.out} * K);
+      valid[r.out] = 1;
     }
   }
 };
@@ -129,12 +145,8 @@ struct LaneKernelCore {
 /// structure-of-arrays form, so the 64 steps behind one lane word are
 /// independent and vectorize. next_bool() is a clear top bit, so a lane
 /// word is the complement of its lanes' top bits, masked to the lanes
-/// that carry a stream.
-///
-/// `Isa` is a tag type each including TU declares in an unnamed
-/// namespace. It gives that TU's instantiations internal linkage:
-/// without it, an -mavx512f instantiation and the baseline one of the
-/// same K are one symbol to the linker, which keeps either copy for both.
+/// that carry a stream. `Isa` is the including TU's tag (see
+/// LaneKernelCore).
 template <std::size_t K, class Isa>
 void pack_stream_draws_body(std::uint64_t seed, const std::size_t* streams,
                             std::size_t count, std::size_t draws,

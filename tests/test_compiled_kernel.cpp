@@ -22,6 +22,7 @@
 #include "set/strike_plan.hpp"
 #include "sim/compiled_kernel.hpp"
 #include "sim/logic_sim.hpp"
+#include "sim/strike_lanes.hpp"
 
 namespace cwsp {
 namespace {
@@ -252,6 +253,128 @@ TEST(CompiledKernelTest, ResolveStrikeReadsOnlyTheStruckConesInputs) {
     }
   }
   EXPECT_GT(reached, 0u) << "no sampled strike reached an endpoint";
+}
+
+// ---- the lane entry against the full resolution ----------------------
+
+/// Every 7th site of `netlist` resolved through resolve_lane_strike on a
+/// settled 512-lane WideLogicSim plane, against resolve_strike on the
+/// GoldenCycle of the same lane's stimulus: the reached endpoints must be
+/// exactly the full result's flipped flip-flops, aperture violations and
+/// struck outputs, and each double strike's superposition (flip-flops one
+/// half flips) must match the full results'. Returns the number of double
+/// strikes whose halves flipped a flip-flop in common.
+std::size_t expect_lane_entry_matches_full(const Netlist& netlist,
+                                           Picoseconds capture,
+                                           std::uint64_t seed,
+                                           const std::string& label) {
+  const auto context = sim::CompiledKernelContext::build(netlist);
+  const FlatNetlistView& view = *context->view;
+  const sim::CompiledEventSim compiled(netlist, context);
+  const std::size_t npi = netlist.primary_inputs().size();
+  const std::size_t nff = netlist.num_flip_flops();
+  const std::size_t npo = view.po_nets().size();
+  sim::WideLogicSim plane(context->view, 512);
+  Rng rng(seed);
+  std::vector<std::vector<bool>> pis(plane.lanes());
+  std::vector<std::vector<bool>> ffs(plane.lanes());
+  for (std::size_t l = 0; l < plane.lanes(); ++l) {
+    pis[l] = random_bits(npi, rng);
+    ffs[l] = random_bits(nff, rng);
+    for (std::size_t i = 0; i < npi; ++i) plane.set_input_lane(i, l, pis[l][i]);
+    for (std::size_t f = 0; f < nff; ++f) plane.set_ff_lane(f, l, ffs[l][f]);
+  }
+  plane.evaluate();
+
+  std::vector<sim::ReachedEndpoint> reached;
+  std::size_t shared = 0;
+  for (std::size_t n = 0; n < view.num_nets(); n += 7) {
+    // Lanes at word edges and in every word of the plane.
+    const std::size_t lane = (n * 37 + (n % 3 == 0 ? 63 : 0)) % plane.lanes();
+    const std::string at = label + " net " + std::to_string(n) + " lane " +
+                           std::to_string(lane);
+    const sim::GoldenCycle golden = compiled.golden_eval(pis[lane], ffs[lane]);
+    set::Strike first;
+    first.node = NetId{n};
+    first.start = Picoseconds(rng.next_double_in(0.0, capture.value()));
+    first.width = Picoseconds(rng.next_double_in(50.0, 700.0));
+    set::Strike second = first;
+    const auto& cone = view.cone_of(first.node);
+    second.node = n % 2 == 0 || cone.empty()
+                      ? NetId{rng.next_below(view.num_nets())}
+                      : NetId{view.gate_output(cone.front())};
+
+    std::vector<char> flipped_by_full(nff, 0);
+    std::vector<char> flipped_by_lane(nff, 0);
+    std::vector<char> flipped_by_first(nff, 0);
+    const set::Strike halves[] = {first, second};
+    for (std::size_t h = 0; h < 2; ++h) {
+      const set::Strike& strike = halves[h];
+      const sim::CycleResult full =
+          compiled.resolve_strike(golden, capture, strike);
+      compiled.resolve_lane_strike(plane.net_words(0), plane.words_per_net(),
+                                   lane, capture, strike, reached);
+      std::vector<bool> latched = full.golden_d;
+      std::vector<bool> aperture(nff, false);
+      std::vector<bool> po = full.golden_po;
+      for (const sim::ReachedEndpoint& r : reached) {
+        if (r.endpoint < nff) {
+          EXPECT_EQ(r.golden, full.golden_d[r.endpoint]) << at;
+          latched[r.endpoint] = r.latched;
+          aperture[r.endpoint] = r.aperture;
+        } else if (r.endpoint - nff >= npo) {
+          ADD_FAILURE() << at << ": endpoint " << r.endpoint << " out of range";
+        } else {
+          EXPECT_FALSE(r.aperture) << at;
+          EXPECT_EQ(r.golden, full.golden_po[r.endpoint - nff]) << at;
+          po[r.endpoint - nff] = r.latched;
+        }
+      }
+      EXPECT_EQ(latched, full.latched_d) << at;
+      EXPECT_EQ(aperture, full.aperture_violation) << at;
+      EXPECT_EQ(po, full.struck_po) << at;
+      EXPECT_EQ(!reached.empty(), full.glitch_reached_endpoint) << at;
+      for (std::size_t f = 0; f < nff; ++f) {
+        if (full.latched_d[f] != full.golden_d[f]) {
+          if (h == 0) {
+            flipped_by_first[f] = 1;
+          } else if (flipped_by_first[f] != 0) {
+            ++shared;
+          }
+          flipped_by_full[f] ^= 1;
+        }
+        if (latched[f] != full.golden_d[f]) flipped_by_lane[f] ^= 1;
+      }
+    }
+    EXPECT_EQ(flipped_by_lane, flipped_by_full) << at << " double strike";
+  }
+  return shared;
+}
+
+TEST(CompiledKernelLaneEntry, MatchesFullResolutionOnGeneratedC880) {
+  const CellLibrary lib = make_default_library();
+  const auto generated =
+      bench::generate_benchmark(bench::find_benchmark("C880"), lib);
+  const Netlist netlist =
+      bench::clone_with_output_flip_flops(generated.netlist);
+  EXPECT_GT(expect_lane_entry_matches_full(netlist, generated.measured_dmax,
+                                           880, "C880"),
+            10u)
+      << "double strikes whose halves flip a flip-flop in common";
+}
+
+TEST(CompiledKernelLaneEntry, MatchesFullResolutionOnFuzzedDesigns) {
+  const CellLibrary lib = make_default_library();
+  std::size_t shared = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    testing::FuzzOptions fuzz;
+    fuzz.num_gates = 40;
+    fuzz.num_flip_flops = 4;
+    const Netlist netlist = testing::make_random_netlist(lib, 300 + seed, fuzz);
+    shared += expect_lane_entry_matches_full(netlist, Picoseconds(400.0), seed,
+                                             "fuzz " + std::to_string(seed));
+  }
+  EXPECT_GT(shared, 0u);
 }
 
 // ---- CompiledKernelOracle: every branch of the timed resolver ---------
@@ -501,6 +624,22 @@ TEST(CompiledKernelOracle, CancelledResolutionLeavesNoStaleSlot) {
   EXPECT_EQ(wave.transitions(),
             oracle.net_waveform(pis, {}, on_b, netlist.gate(y).output)
                 .transitions());
+}
+
+TEST(CancelTokenPolls, CancelIsSeenAtEveryPollADeadlineAtEveryStride) {
+  // The resolver polls cancelled_at(k) at its k-th cone gate.
+  sim::CancelToken token;
+  for (std::size_t k = 0; k < 100; ++k) EXPECT_FALSE(token.cancelled_at(k));
+  token.set_deadline(sim::CancelToken::Clock::now() - std::chrono::seconds(1));
+  for (std::size_t k = 0; k < 100; ++k) {
+    EXPECT_EQ(token.cancelled_at(k), k % sim::CancelToken::kClockStride == 0)
+        << "poll " << k;
+  }
+  token.reset();
+  token.cancel();
+  for (std::size_t k = 0; k < 100; ++k) {
+    EXPECT_TRUE(token.cancelled_at(k)) << "poll " << k;
+  }
 }
 
 TEST(CompiledKernelOracle, ResolutionsAfterADeadlineMatchAFreshSimulator) {

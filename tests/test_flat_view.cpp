@@ -127,6 +127,42 @@ TEST(FlatViewTest, TopoOrderMatchesNetlistAndPositionsInvert) {
   }
 }
 
+TEST(FlatViewTest, SweepListsMatchTheNetlist) {
+  // The source lists and the topologically ordered sweep records carry
+  // exactly the drivers, inputs, outputs and truth tables of the netlist.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Netlist netlist = testing::make_random_netlist(library(), seed);
+    const NetId zero = netlist.add_constant(false, "zero");
+    const NetId one = netlist.add_constant(true, "one");
+    netlist.mark_primary_output(zero);
+    netlist.mark_primary_output(one);
+    const FlatNetlistView view(netlist);
+    ASSERT_EQ(view.pi_nets().size(), netlist.primary_inputs().size());
+    for (std::size_t p = 0; p < view.pi_nets().size(); ++p) {
+      EXPECT_EQ(view.pi_nets()[p], netlist.primary_inputs()[p].value());
+    }
+    ASSERT_EQ(view.ff_q_nets().size(), netlist.num_flip_flops());
+    for (std::size_t f = 0; f < view.ff_q_nets().size(); ++f) {
+      EXPECT_EQ(view.ff_q_nets()[f],
+                netlist.flip_flop(FlipFlopId{f}).q.value());
+    }
+    EXPECT_EQ(view.constant_nets(),
+              (std::vector<std::uint32_t>{zero.value(), one.value()}));
+
+    ASSERT_EQ(view.sweep_gates().size(), netlist.num_gates());
+    for (std::size_t pos = 0; pos < view.sweep_gates().size(); ++pos) {
+      const FlatNetlistView::SweepGate& record = view.sweep_gates()[pos];
+      const Gate& gate = netlist.gate(netlist.topological_order()[pos]);
+      ASSERT_EQ(record.arity, gate.inputs.size());
+      for (std::size_t i = 0; i < gate.inputs.size(); ++i) {
+        EXPECT_EQ(record.in[i], gate.inputs[i].value());
+      }
+      EXPECT_EQ(record.out, gate.output.value());
+      EXPECT_EQ(record.truth, netlist.library().cell(gate.cell).truth_table());
+    }
+  }
+}
+
 TEST(FlatViewTest, LevelsRespectDependencies) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const Netlist netlist = testing::make_random_netlist(library(), seed);

@@ -185,6 +185,156 @@ TEST_P(WideLogicSimDifferential, FlipSweepsMatchLogicSim64PerSubword) {
 INSTANTIATE_TEST_SUITE_P(Fuzz, WideLogicSimDifferential,
                          ::testing::Values(11u, 23u, 47u));
 
+// ------------------------------------------------- every gate body
+
+/// The default library plus cells with seeded random truth tables of
+/// every arity — the all-zero and all-one tables among them — so every
+/// select line of every mux-tree body is asymmetric somewhere (the
+/// library's own 2- and 4-input cells are all symmetric).
+CellLibrary every_body_library(std::uint64_t seed) {
+  CellLibrary lib = make_default_library();
+  const Cell base = lib.cell(lib.cell_for(CellKind::kNand2));
+  Rng rng(seed);
+  for (int arity = 1; arity <= 4; ++arity) {
+    const std::uint16_t rows = static_cast<std::uint16_t>(
+        (1u << (1u << arity)) - 1);
+    for (int k = 0; k < 4; ++k) {
+      const std::uint16_t truth =
+          k == 0   ? 0
+          : k == 1 ? rows
+                   : static_cast<std::uint16_t>(rng.next_u64() & rows);
+      lib.add_cell(Cell("T" + std::to_string(arity) + "_" + std::to_string(k),
+                        CellKind::kNand2, arity, truth, base.devices(),
+                        base.intrinsic_delay(), base.drive_resistance(),
+                        base.input_capacitance(), base.inertial_delay()));
+    }
+  }
+  return lib;
+}
+
+/// Every cell of `lib` three times over random earlier nets, from PIs,
+/// flip-flop Qs and both constants: generated C7552 has 65 four-input
+/// gates, which the fuzzed designs never draw.
+Netlist every_cell_netlist(const CellLibrary& lib, std::uint64_t seed) {
+  Rng rng(seed);
+  Netlist netlist(lib, "every_cell" + std::to_string(seed));
+  std::vector<NetId> pool;
+  for (int i = 0; i < 6; ++i) {
+    pool.push_back(netlist.add_primary_input("pi" + std::to_string(i)));
+  }
+  pool.push_back(netlist.add_constant(false, "zero"));
+  pool.push_back(netlist.add_constant(true, "one"));
+  std::vector<NetId> d_nets;
+  for (int i = 0; i < 3; ++i) {
+    d_nets.push_back(netlist.add_net("ffd" + std::to_string(i)));
+    const FlipFlopId ff = netlist.add_flip_flop_onto(
+        d_nets.back(), netlist.add_net("ffq" + std::to_string(i)));
+    pool.push_back(netlist.flip_flop(ff).q);
+  }
+  int gates = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t c = 0; c < lib.size(); ++c) {
+      const CellId cell{c};
+      std::vector<NetId> inputs;
+      for (int i = 0; i < lib.cell(cell).num_inputs(); ++i) {
+        inputs.push_back(pool[rng.next_below(pool.size())]);
+      }
+      const GateId g =
+          netlist.add_gate(cell, inputs, "g" + std::to_string(gates++));
+      pool.push_back(netlist.gate(g).output);
+    }
+  }
+  for (const NetId d : d_nets) {
+    netlist.add_gate_onto(lib.cell_for(CellKind::kBuf),
+                          {pool[pool.size() - 1 - rng.next_below(8)]}, d);
+  }
+  for (std::size_t n = 0; n < netlist.num_nets(); ++n) {
+    const Net& net = netlist.net(NetId{n});
+    if (net.fanout_gates.empty() && net.fanout_ffs.empty() &&
+        !net.is_primary_output) {
+      netlist.mark_primary_output(NetId{n});
+    }
+  }
+  netlist.validate();
+  return netlist;
+}
+
+TEST(WideLogicSimBodies, EveryCellEveryWidthTracksScalar) {
+  for (std::uint64_t seed : {3u, 19u}) {
+    const CellLibrary lib = every_body_library(seed);
+    const Netlist netlist = every_cell_netlist(lib, seed);
+    const auto context = sim::CompiledKernelContext::build(netlist);
+    ASSERT_EQ(context->view->constant_nets().size(), 2u);
+    const std::size_t npi = netlist.primary_inputs().size();
+    const std::size_t nff = netlist.num_flip_flops();
+
+    for (std::size_t width : sim::WideLogicSim::supported_lane_widths()) {
+      sim::WideLogicSim wide(context->view, width);
+      const std::string body = wide.isa_name();
+      Rng rng(seed * 1000 + width);
+
+      // Three clocked steps against one LogicSim per lane.
+      std::vector<sim::LogicSim> scalars;
+      for (std::size_t l = 0; l < width; ++l) scalars.emplace_back(netlist);
+      for (int step = 0; step < 3; ++step) {
+        for (std::size_t l = 0; l < width; ++l) {
+          const auto inputs = random_bits(npi, rng);
+          for (std::size_t i = 0; i < npi; ++i) {
+            wide.set_input_lane(i, l, inputs[i]);
+          }
+          scalars[l].set_inputs(inputs);
+        }
+        wide.evaluate();
+        for (std::size_t l = 0; l < width; ++l) scalars[l].evaluate();
+        for (std::size_t n = 0; n < netlist.num_nets(); ++n) {
+          for (std::size_t l = 0; l < width; ++l) {
+            ASSERT_EQ(wide.value(NetId{n}, l), scalars[l].value(NetId{n}))
+                << body << ": seed " << seed << " step " << step << " net "
+                << netlist.net(NetId{n}).name << " lane " << l;
+          }
+        }
+        wide.clock();
+        for (std::size_t l = 0; l < width; ++l) scalars[l].clock();
+      }
+
+      // Flip sweeps of every site against the scalar flipped evaluation,
+      // on a fresh random state per lane.
+      std::vector<std::vector<bool>> lane_inputs(width);
+      std::vector<std::vector<bool>> lane_state(width);
+      std::vector<std::vector<char>> base(width);
+      for (std::size_t l = 0; l < width; ++l) {
+        lane_inputs[l] = random_bits(npi, rng);
+        lane_state[l] = random_bits(nff, rng);
+        for (std::size_t i = 0; i < npi; ++i) {
+          wide.set_input_lane(i, l, lane_inputs[l][i]);
+        }
+        for (std::size_t f = 0; f < nff; ++f) {
+          wide.set_ff_lane(f, l, lane_state[l][f]);
+        }
+        base[l] = scalar_flip_values(netlist, lane_inputs[l], lane_state[l],
+                                     NetId{});
+      }
+      wide.evaluate();
+      for (std::size_t site = 0; site < netlist.num_nets(); ++site) {
+        wide.evaluate_with_flip(NetId{site});
+        for (std::size_t l = 0; l < width; ++l) {
+          const auto flipped = scalar_flip_values(
+              netlist, lane_inputs[l], lane_state[l], NetId{site});
+          for (std::size_t n = 0; n < netlist.num_nets(); ++n) {
+            const bool diff =
+                ((wide.flip_diff_word(NetId{n}, l / 64) >> (l % 64)) & 1u) !=
+                0;
+            ASSERT_EQ(diff, flipped[n] != base[l][n])
+                << body << ": seed " << seed << " flip of "
+                << netlist.net(NetId{site}).name << " lane " << l << " net "
+                << netlist.net(NetId{n}).name;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(WideLogicSimIscas, EveryWidthTracksScalarOnEmbeddedCircuits) {
   const CellLibrary lib = make_default_library();
   for (const char* bench : {testdata::kC17, testdata::kS27}) {
@@ -655,6 +805,66 @@ void expect_lane_outcomes_match_scalar(const Netlist& netlist,
 
 TEST_F(LaneCampaignC880Test, LaneOutcomesMatchScalarKernel) {
   expect_lane_outcomes_match_scalar(*netlist_, period_, params_.delta, 6);
+}
+
+TEST_F(LaneCampaignC880Test, DoubleStrikesOnSharedFlipFlopsMatchScalarKernel) {
+  // Both halves of these double strikes reach the same flip-flops: the
+  // second node is the first one itself or a net of its cone. A flip-flop
+  // both halves flip re-latches its golden value, so a lane whose halves
+  // flip exactly the same flip-flops latches nothing.
+  const Netlist& netlist = *netlist_;
+  const auto context = sim::CompiledKernelContext::build(netlist);
+  const sim::CompiledEventSim event(netlist, context);
+  const FlatNetlistView& view = *context->view;
+  const std::size_t cycles = 4;
+  const std::vector<NetId> sites = set::strike_sites(netlist);
+  Rng rng(2103);
+  for (std::size_t width : sim::WideLogicSim::supported_lane_widths()) {
+    sim::StrikeLaneSim lanes(context, period_, params_.delta, width);
+    std::vector<sim::LaneScenario> batch(width);
+    std::vector<std::size_t> indices;
+    std::vector<std::vector<std::vector<bool>>> stimuli(width);
+    for (std::size_t l = 0; l < width; ++l) {
+      sim::LaneScenario& s = batch[l];
+      s.strike.node = sites[rng.next_below(sites.size())];
+      const auto& cone = view.cone_of(s.strike.node);
+      s.node2 = l % 2 == 0 || cone.empty()
+                    ? s.strike.node
+                    : NetId{view.gate_output(cone[rng.next_below(
+                          std::min<std::size_t>(cone.size(), 3))])};
+      s.strike.start = Picoseconds(rng.next_double_in(0.0, period_.value()));
+      s.strike.width = Picoseconds(rng.next_double_in(300.0, 900.0));
+      s.cycle = l % cycles;
+      indices.push_back(7 * l + 1);
+      stimuli[l] = campaign::CampaignEngine::strike_inputs(netlist, cycles, 4,
+                                                           indices.back());
+      s.inputs = &stimuli[l];
+    }
+    std::vector<std::uint64_t> stimulus;
+    campaign::CampaignEngine::strike_inputs_packed(netlist, cycles, 4, indices,
+                                                   width, stimulus);
+    std::vector<sim::LaneOutcome> got;
+    lanes.run_packed(batch, cycles, stimulus, got);
+    std::size_t cancelled = 0;
+    for (std::size_t l = 0; l < width; ++l) {
+      const sim::LaneOutcome want =
+          scalar_outcome(event, batch[l], period_, params_.delta);
+      const std::string at = std::string(lanes.isa_name()) + " lane " +
+                             std::to_string(l);
+      EXPECT_EQ(got[l].latched_diff, want.latched_diff) << at;
+      EXPECT_EQ(got[l].aperture, want.aperture) << at;
+      EXPECT_EQ(got[l].silent_corruptions, want.silent_corruptions) << at;
+      sim::LaneScenario first_half = batch[l];
+      first_half.node2 = NetId{};
+      if (scalar_outcome(event, first_half, period_, params_.delta)
+              .latched_diff &&
+          !want.latched_diff) {
+        ++cancelled;
+      }
+    }
+    EXPECT_GT(cancelled, 5u)
+        << "width " << width << ": too few lanes whose halves cancel";
+  }
 }
 
 TEST_F(LaneCampaignTest, LaneOutcomesMatchScalarKernel) {
