@@ -10,11 +10,12 @@
 
 #include "baselines/anghel00.hpp"
 #include "bencharness/generator.hpp"
+#include "campaign/campaign.hpp"
 #include "common/table.hpp"
-#include "cwsp/coverage.hpp"
 #include "cwsp/eqglb_tree.hpp"
 #include "cwsp/timing.hpp"
 #include "netlist/bench_parser.hpp"
+#include "scheme/fault_model.hpp"
 #include "spice/subckt.hpp"
 
 int main() {
@@ -42,14 +43,22 @@ y  = AND(q1, q2)
             << params.delta.value() << " ps)\n";
   TextTable sweep;
   sweep.set_header({"width ps", "protected cov %", "unprotected fail %"});
+  const campaign::CampaignEngine engine(fsm, params, period);
   for (double width : {100.0, 300.0, 500.0, 700.0, 900.0}) {
-    core::CampaignOptions options;
-    options.runs = 120;
-    options.cycles_per_run = 10;
-    options.glitch_width = Picoseconds(width);
-    options.seed = 99;
+    set::StrikePlanOptions plan_options;
+    plan_options.functional_strikes = 120;
+    plan_options.cycles_per_run = 10;
+    plan_options.glitch_width = Picoseconds(width);
+    plan_options.clock_period = period;
+    campaign::EngineOptions engine_options;
+    engine_options.seed = 99;
+    engine_options.cycles_per_run = plan_options.cycles_per_run;
     const auto r =
-        core::run_functional_campaign(fsm, params, period, options);
+        engine
+            .run(scheme::default_fault_model().build_plan(
+                     fsm, plan_options, engine_options.seed),
+                 engine_options)
+            .report;
     sweep.add_row({TextTable::num(width, 0),
                    TextTable::num(r.protected_coverage_pct(), 1),
                    TextTable::num(r.unprotected_failure_pct(), 1)});

@@ -7,9 +7,10 @@
 #include <iostream>
 
 #include "bencharness/generator.hpp"
+#include "campaign/campaign.hpp"
 #include "common/table.hpp"
-#include "cwsp/coverage.hpp"
 #include "cwsp/timing.hpp"
+#include "scheme/fault_model.hpp"
 
 int main() {
   using namespace cwsp;
@@ -30,16 +31,28 @@ int main() {
         core::hardened_clock_period(gen.measured_dmax, library),
         core::min_clock_period_for_delta(params));
 
-    core::CampaignOptions options;
-    options.runs = 40;
-    options.cycles_per_run = 10;
-    options.glitch_width = Picoseconds(400.0);
-    options.seed = 2026;
-
-    const auto functional =
-        core::run_functional_campaign(seq, params, period, options);
+    // The two campaigns the coverage op runs: 40 single-set functional
+    // strikes, then 160 protection-seu strikes (about 40 per §3.2 site).
+    const campaign::CampaignEngine engine(seq, params, period);
+    const auto run = [&](const scheme::FaultModel& model,
+                         std::size_t strikes) {
+      set::StrikePlanOptions plan_options;
+      plan_options.functional_strikes = strikes;
+      plan_options.cycles_per_run = 10;
+      plan_options.glitch_width = Picoseconds(400.0);
+      plan_options.clock_period = period;
+      campaign::EngineOptions engine_options;
+      engine_options.seed = 2026;
+      engine_options.cycles_per_run = plan_options.cycles_per_run;
+      engine_options.fault_model = model.name();
+      return engine
+          .run(model.build_plan(seq, plan_options, engine_options.seed),
+               engine_options)
+          .report;
+    };
+    const auto functional = run(scheme::default_fault_model(), 40);
     const auto scenarios =
-        core::run_scenario_sweep(seq, params, period, options);
+        run(*scheme::find_fault_model("protection-seu"), 4 * 40);
 
     table.add_row(
         {std::string(name) + " (functional)",

@@ -18,12 +18,12 @@ cwsp_add_bench(bench_table2 bench_support)
 cwsp_add_bench(bench_table3 bench_support)
 cwsp_add_bench(bench_table4 bench_support cwsp::baselines)
 cwsp_add_bench(bench_fig6 cwsp::spice)
-cwsp_add_bench(bench_coverage cwsp::bencharness cwsp::core)
+cwsp_add_bench(bench_coverage cwsp::bencharness cwsp::campaign)
 cwsp_add_bench(bench_timing cwsp::core)
 cwsp_add_bench(bench_baselines cwsp::baselines cwsp::bencharness)
 cwsp_add_bench(bench_perf cwsp::analysis cwsp::baselines cwsp::bencharness cwsp::campaign cwsp::service cwsp::sim benchmark::benchmark)
 cwsp_add_bench(bench_ser cwsp::set cwsp::core cwsp::bencharness)
-cwsp_add_bench(bench_ablation cwsp::baselines cwsp::bencharness cwsp::spice)
+cwsp_add_bench(bench_ablation cwsp::baselines cwsp::bencharness cwsp::campaign cwsp::spice)
 cwsp_add_bench(bench_scaling cwsp::set)
 cwsp_add_bench(bench_tuning cwsp::set cwsp::bencharness cwsp::core)
 cwsp_add_bench(bench_campaign cwsp::campaign cwsp::bencharness cwsp::sim)

@@ -5,10 +5,11 @@
 
 #include <iostream>
 
+#include "campaign/campaign.hpp"
 #include "common/table.hpp"
-#include "cwsp/coverage.hpp"
 #include "cwsp/timing.hpp"
 #include "netlist/bench_parser.hpp"
+#include "scheme/fault_model.hpp"
 
 int main() {
   using namespace cwsp;
@@ -71,14 +72,21 @@ y  = AND(q1, q2)
   trace.print(std::cout);
 
   // --- randomized campaign --------------------------------------------
-  core::CampaignOptions options;
-  options.runs = 100;
-  options.cycles_per_run = 16;
-  options.glitch_width = 400.0_ps;
-  options.seed = 7;
-
-  const auto report =
-      core::run_functional_campaign(netlist, params, period, options);
+  // One strike per run from the paper's fault model, each in its own
+  // 16-cycle stimulus, on the campaign engine (docs/campaign.md).
+  set::StrikePlanOptions plan_options;
+  plan_options.functional_strikes = 100;
+  plan_options.cycles_per_run = 16;
+  plan_options.glitch_width = 400.0_ps;
+  plan_options.clock_period = period;
+  campaign::EngineOptions engine_options;
+  engine_options.seed = 7;
+  engine_options.cycles_per_run = plan_options.cycles_per_run;
+  const set::StrikePlan plan = scheme::default_fault_model().build_plan(
+      netlist, plan_options, engine_options.seed);
+  const campaign::CampaignEngine engine(netlist, params, period);
+  const core::CoverageReport report =
+      engine.run(plan, engine_options).report;
   std::cout << "\nRandomized campaign (" << report.runs << " runs):\n";
   std::cout << "  protected coverage   : "
             << report.protected_coverage_pct() << " %\n";

@@ -170,6 +170,25 @@ bool is_cwsp(const scheme::ProtectionScheme& sch) {
   return std::string_view(sch.name()) == "cwsp";
 }
 
+/// Counts one completed strike into its breakdown slice.
+void tally(core::ScenarioStats& slice, const StrikeResult& r) {
+  ++slice.strikes;
+  switch (r.status) {
+    case StrikeStatus::kCovered:
+      break;
+    case StrikeStatus::kEscape:
+      ++slice.escapes;
+      break;
+    case StrikeStatus::kTimeout:
+      ++slice.timeouts;
+      [[fallthrough]];
+    case StrikeStatus::kError:
+      ++slice.inconclusive;
+      break;
+  }
+  if (r.conclusive() && r.unprotected_failed) ++slice.unprotected_failures;
+}
+
 }  // namespace
 
 void aggregate_results(const set::StrikePlan& plan, CampaignResult& result) {
@@ -177,6 +196,8 @@ void aggregate_results(const set::StrikePlan& plan, CampaignResult& result) {
   result.report = core::CoverageReport{};
   result.unexpected_escapes = 0;
   result.interrupted = false;
+  core::CoverageReport& report = result.report;
+  core::ScenarioStats total;
   for (std::size_t i = 0; i < plan.size(); ++i) {
     const StrikeResult& r = result.strikes[i];
     if (!r.completed()) {
@@ -184,41 +205,50 @@ void aggregate_results(const set::StrikePlan& plan, CampaignResult& result) {
       continue;
     }
     const set::PlannedStrike& planned = plan.strikes[i];
-    core::CoverageReport& report = result.report;
-    core::ScenarioStats& slice = report.scenario(
-        set::to_string(planned.klass), result.scheme, result.fault_model);
-    ++report.runs;
-    ++report.strikes_injected;
-    ++slice.strikes;
-    switch (r.status) {
-      case StrikeStatus::kCovered:
-        break;
-      case StrikeStatus::kEscape:
-        ++report.protected_failures;
-        ++slice.escapes;
-        if (planned.klass != set::StrikeClass::kOutOfEnvelope) {
-          ++result.unexpected_escapes;
-        }
-        break;
-      case StrikeStatus::kTimeout:
-        ++report.timeouts;
-        ++slice.timeouts;
-        [[fallthrough]];
-      case StrikeStatus::kError:
-        ++report.inconclusive;
-        ++slice.inconclusive;
-        break;
+    tally(report.scenario(set::to_string(planned.klass), result.scheme,
+                          result.fault_model),
+          r);
+    tally(total, r);
+    if (r.status == StrikeStatus::kEscape &&
+        planned.klass != set::StrikeClass::kOutOfEnvelope) {
+      ++result.unexpected_escapes;
     }
     if (r.conclusive()) {
       report.bubbles += r.bubbles;
       report.detected_errors += r.detected_errors;
       report.spurious_recomputes += r.spurious_recomputes;
-      if (r.unprotected_failed) {
-        ++report.unprotected_failures;
-        ++slice.unprotected_failures;
-      }
     }
   }
+  report.runs = total.strikes;
+  report.strikes_injected = total.strikes;
+  report.protected_failures = total.escapes;
+  report.unprotected_failures = total.unprotected_failures;
+  report.inconclusive = total.inconclusive;
+  report.timeouts = total.timeouts;
+}
+
+std::vector<core::ScenarioStats> protection_site_slices(
+    const set::StrikePlan& plan, const CampaignResult& result) {
+  CWSP_REQUIRE(result.strikes.size() == plan.size());
+  const auto slice = [&](set::ProtectionSite site) {
+    return core::ScenarioStats{set::to_string(site), result.scheme,
+                               result.fault_model, 0, 0, 0, 0, 0};
+  };
+  // Indexed by set::ProtectionSite, whose enumerators follow §3.2.
+  std::vector<core::ScenarioStats> slices = {
+      slice(set::ProtectionSite::kEqChecker),
+      slice(set::ProtectionSite::kEqglbfDff),
+      slice(set::ProtectionSite::kCwStarDff),
+      slice(set::ProtectionSite::kCwspOutput)};
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const set::PlannedStrike& planned = plan.strikes[i];
+    if (result.strikes[i].completed() &&
+        planned.klass == set::StrikeClass::kProtectionPath) {
+      tally(slices[static_cast<std::size_t>(planned.site)],
+            result.strikes[i]);
+    }
+  }
+  return slices;
 }
 
 const char* to_string(StrikeStatus status) {

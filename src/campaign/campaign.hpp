@@ -133,6 +133,13 @@ struct CampaignResult {
 /// merged report byte-identical to a single-host run.
 void aggregate_results(const set::StrikePlan& plan, CampaignResult& result);
 
+/// The §3.2 view of result's protection-path strikes: one slice per
+/// set::ProtectionSite, all four in §3.2 order (a site the plan never
+/// drew stays at zero), counting completed strikes as aggregate_results
+/// counts a class.
+[[nodiscard]] std::vector<core::ScenarioStats> protection_site_slices(
+    const set::StrikePlan& plan, const CampaignResult& result);
+
 class CampaignEngine {
  public:
   /// The netlist and library must outlive the engine.

@@ -1,13 +1,13 @@
 #pragma once
-// Fault-injection campaigns validating the paper's 100%-SET-tolerance
-// claim: random strikes over sites/cycles/times against the protected
-// design (must never corrupt committed outputs) and against the
-// unprotected design (shows the harness has teeth).
+// Coverage accounting for the paper's 100%-SET-tolerance claim: the
+// totals and per-scenario slices a fault-injection campaign
+// (campaign::CampaignEngine) aggregates from its strikes, both against
+// the protected design (must never corrupt committed outputs) and the
+// unprotected one (shows the harness has teeth).
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
-
-#include "cwsp/protection_sim.hpp"
+#include <vector>
 
 namespace cwsp::core {
 
@@ -18,8 +18,7 @@ struct ScenarioStats {
   std::string name;
   /// The (protection scheme, fault model) cell this slice was measured
   /// under. Part of the bucket key: a merged multi-scheme report must
-  /// never alias two schemes' counters into one scenario bucket. Empty
-  /// for the single-scheme coverage sweeps that predate the registry.
+  /// never alias two schemes' counters into one scenario bucket.
   std::string scheme;
   std::string model;
   std::size_t strikes = 0;
@@ -83,33 +82,5 @@ struct CoverageReport {
            static_cast<double>(conclusive_strikes());
   }
 };
-
-struct CampaignOptions {
-  std::size_t runs = 50;
-  std::size_t cycles_per_run = 20;
-  /// Glitch width injected (≤ the design's protected width for the
-  /// coverage claim; larger for the ablation).
-  Picoseconds glitch_width{400.0};
-  std::uint64_t seed = 1;
-  /// At most one strike every `min_strike_gap` cycles (paper footnote 2:
-  /// two strikes in consecutive cycles are essentially impossible).
-  std::size_t min_strike_gap = 2;
-  /// Weight strike-site selection by driving-cell active area (the
-  /// physically correct distribution) instead of uniformly.
-  bool area_weighted_sites = false;
-};
-
-/// Random functional strikes (gate outputs and FF Q nets, random cycle and
-/// in-cycle time), protected vs unprotected.
-[[nodiscard]] CoverageReport run_functional_campaign(
-    const Netlist& netlist, const ProtectionParams& params,
-    Picoseconds clock_period, const CampaignOptions& options);
-
-/// One sub-campaign per §3.2 scenario class (equivalence checker, EQGLBF
-/// DFF, CW* DFF, CWSP output), each swept across cycles and strike times.
-[[nodiscard]] CoverageReport run_scenario_sweep(const Netlist& netlist,
-                                                const ProtectionParams& params,
-                                                Picoseconds clock_period,
-                                                const CampaignOptions& options);
 
 }  // namespace cwsp::core

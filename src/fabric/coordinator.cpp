@@ -373,75 +373,74 @@ void agent_loop(const service::DesignSession& session,
 /// pending queue (straggler re-dispatch); workers silent past the
 /// heartbeat timeout are evicted. Probes run on short-lived connections
 /// so they measure the *daemon's* reader loop, not the agent's busy
-/// connection.
+/// connection. The first heartbeat round runs as the monitor starts, so
+/// every remote phase probes each live worker at least once, however
+/// soon its shards complete.
 void monitor_loop(const FabricOptions& options, Dispatch& dispatch,
                   std::vector<std::unique_ptr<WorkerState>>& workers) {
   auto& registry = metrics::Registry::global();
+  const std::size_t tolerated = std::max<std::size_t>(
+      1, static_cast<std::size_t>(
+             options.heartbeat_timeout_ms /
+             std::max(1.0, options.heartbeat_interval_ms)));
   auto next_heartbeat = Stopwatch::Clock::now();
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(dispatch.mutex);
-      dispatch.cv.wait_for(lock, std::chrono::milliseconds(25));
-      if (dispatch.stop || dispatch.done == dispatch.state.size()) return;
-      const auto now = Stopwatch::Clock::now();
-      if (now >= dispatch.deadline) {
-        // Campaign budget exhausted: end the remote phase; the local
-        // fallback's expired token turns what's left into `interrupted`.
-        dispatch.stop = true;
-        dispatch.cv.notify_all();
-        return;
-      }
-      for (std::size_t s = 0; s < dispatch.state.size(); ++s) {
-        if (dispatch.state[s] != ShardState::kLeased) continue;
-        if (now < dispatch.lease_deadline[s]) continue;
-        dispatch.state[s] = ShardState::kPending;
-        dispatch.pending.push_back(s);
-        ++dispatch.stats.redispatched;
-        registry.counter("fabric.redispatch").add();
-        dispatch.cv.notify_all();
+    if (options.heartbeat_interval_ms > 0.0 &&
+        Stopwatch::Clock::now() >= next_heartbeat) {
+      next_heartbeat =
+          Stopwatch::deadline_after(options.heartbeat_interval_ms);
+      for (auto& worker : workers) {
+        if (worker->evicted.load()) continue;
+        bool alive = false;
+        try {
+          // Chaos: a dropped probe counts as one heartbeat miss; enough
+          // consecutive ones evict the worker.
+          CWSP_FAILPOINT("fabric.heartbeat");
+          service::DialOptions dial;
+          dial.attempts = 1;
+          dial.connect_timeout_ms = options.heartbeat_interval_ms;
+          const std::unique_ptr<Client> probe =
+              Client::dial(worker->endpoint, dial);
+          probe->send_line("{\"id\":\"hb\",\"op\":\"ping\"}");
+          std::string pong;
+          alive = probe->read_line_for(pong, options.heartbeat_timeout_ms) ==
+                  Client::ReadStatus::kLine;
+        } catch (const std::exception&) {
+          alive = false;
+        }
+        if (alive) {
+          worker->heartbeat_misses = 0;
+          continue;
+        }
+        if (++worker->heartbeat_misses < tolerated) continue;
+        if (!worker->evicted.exchange(true)) {
+          registry.counter("fabric.worker_evicted").add();
+          std::lock_guard<std::mutex> lock(dispatch.mutex);
+          ++dispatch.stats.workers_evicted;
+          dispatch.cv.notify_all();
+        }
       }
     }
 
-    if (options.heartbeat_interval_ms <= 0.0 ||
-        Stopwatch::Clock::now() < next_heartbeat) {
-      continue;
+    std::unique_lock<std::mutex> lock(dispatch.mutex);
+    dispatch.cv.wait_for(lock, std::chrono::milliseconds(25));
+    if (dispatch.stop || dispatch.done == dispatch.state.size()) return;
+    const auto now = Stopwatch::Clock::now();
+    if (now >= dispatch.deadline) {
+      // Campaign budget exhausted: end the remote phase; the local
+      // fallback's expired token turns what's left into `interrupted`.
+      dispatch.stop = true;
+      dispatch.cv.notify_all();
+      return;
     }
-    next_heartbeat =
-        Stopwatch::deadline_after(options.heartbeat_interval_ms);
-    const std::size_t tolerated = std::max<std::size_t>(
-        1, static_cast<std::size_t>(options.heartbeat_timeout_ms /
-                                    std::max(1.0,
-                                             options.heartbeat_interval_ms)));
-    for (auto& worker : workers) {
-      if (worker->evicted.load()) continue;
-      bool alive = false;
-      try {
-        // Chaos: a dropped probe counts as one heartbeat miss; enough
-        // consecutive ones evict the worker.
-        CWSP_FAILPOINT("fabric.heartbeat");
-        service::DialOptions dial;
-        dial.attempts = 1;
-        dial.connect_timeout_ms = options.heartbeat_interval_ms;
-        const std::unique_ptr<Client> probe =
-            Client::dial(worker->endpoint, dial);
-        probe->send_line("{\"id\":\"hb\",\"op\":\"ping\"}");
-        std::string pong;
-        alive = probe->read_line_for(pong, options.heartbeat_timeout_ms) ==
-                Client::ReadStatus::kLine;
-      } catch (const std::exception&) {
-        alive = false;
-      }
-      if (alive) {
-        worker->heartbeat_misses = 0;
-        continue;
-      }
-      if (++worker->heartbeat_misses < tolerated) continue;
-      if (!worker->evicted.exchange(true)) {
-        registry.counter("fabric.worker_evicted").add();
-        std::lock_guard<std::mutex> lock(dispatch.mutex);
-        ++dispatch.stats.workers_evicted;
-        dispatch.cv.notify_all();
-      }
+    for (std::size_t s = 0; s < dispatch.state.size(); ++s) {
+      if (dispatch.state[s] != ShardState::kLeased) continue;
+      if (now < dispatch.lease_deadline[s]) continue;
+      dispatch.state[s] = ShardState::kPending;
+      dispatch.pending.push_back(s);
+      ++dispatch.stats.redispatched;
+      registry.counter("fabric.redispatch").add();
+      dispatch.cv.notify_all();
     }
   }
 }

@@ -10,7 +10,7 @@
 #include "analysis/certify_rules.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/journal.hpp"
-#include "cwsp/coverage.hpp"
+#include "common/json_text.hpp"
 #include "cwsp/elaborate_system.hpp"
 #include "cwsp/eqglb_tree.hpp"
 #include "cwsp/harden.hpp"
@@ -103,6 +103,47 @@ campaign::EngineOptions campaign_engine_options(
 
 namespace {
 
+/// One planned and executed (scheme, model) cell of a campaign spec.
+struct CellRun {
+  set::StrikePlan plan;
+  campaign::EngineOptions engine_options;
+  campaign::CampaignResult result;
+};
+
+/// Plans `cell` of `spec` and runs it on the session's kernel context —
+/// the one execution path of the campaign and coverage ops.
+CellRun run_cell(const DesignSession& session, const CampaignSpec& spec,
+                 const CampaignCell& cell, const sim::CancelToken* cancel) {
+  const Netlist& netlist = *session.netlist;
+  const auto params = core::ProtectionParams::q100();
+  const Picoseconds period = session.period_q100;
+
+  CellRun run;
+  run.engine_options = campaign_engine_options(spec, cell, cancel);
+  run.engine_options.journal_path = spec.journal_path;
+  run.engine_options.resume = spec.resume;
+  run.engine_options.minimize_escapes = spec.minimize_escapes;
+  run.engine_options.artifact_dir = spec.artifact_dir;
+  run.engine_options.stop_after = spec.stop_after;
+
+  run.plan = cell.model->build_plan(
+      netlist, campaign_plan_options(spec, params, period), spec.seed);
+  if (spec.shard_total > 0) {
+    CWSP_REQUIRE_MSG(spec.shard_index >= 1 &&
+                         spec.shard_index <= spec.shard_total,
+                     "shard index " << spec.shard_index
+                                    << " out of range for "
+                                    << spec.shard_total << " shards");
+    run.plan =
+        set::shard_plan(run.plan, spec.shard_total)[spec.shard_index - 1];
+  }
+
+  const campaign::CampaignEngine engine(netlist, params, period,
+                                        session.kernel_context);
+  run.result = engine.run(run.plan, run.engine_options);
+  return run;
+}
+
 CampaignOutcome run_campaign_cell(const DesignSession& session,
                                   const CampaignSpec& spec,
                                   const CampaignCell& cell,
@@ -110,41 +151,16 @@ CampaignOutcome run_campaign_cell(const DesignSession& session,
   const Netlist& netlist = *session.netlist;
   CWSP_REQUIRE_MSG(netlist.num_flip_flops() > 0,
                    "campaign requires a sequential design");
-  const auto params = core::ProtectionParams::q100();
-  const Picoseconds period = session.period_q100;
-
-  const set::StrikePlanOptions plan_options =
-      campaign_plan_options(spec, params, period);
-
-  campaign::EngineOptions engine_options =
-      campaign_engine_options(spec, cell, cancel);
-  engine_options.journal_path = spec.journal_path;
-  engine_options.resume = spec.resume;
-  engine_options.minimize_escapes = spec.minimize_escapes;
-  engine_options.artifact_dir = spec.artifact_dir;
-  engine_options.stop_after = spec.stop_after;
-
-  set::StrikePlan plan =
-      cell.model->build_plan(netlist, plan_options, engine_options.seed);
-  if (spec.shard_total > 0) {
-    CWSP_REQUIRE_MSG(spec.shard_index >= 1 &&
-                         spec.shard_index <= spec.shard_total,
-                     "shard index " << spec.shard_index
-                                    << " out of range for "
-                                    << spec.shard_total << " shards");
-    plan = set::shard_plan(plan, spec.shard_total)[spec.shard_index - 1];
-  }
-
-  const campaign::CampaignEngine engine(netlist, params, period,
-                                        session.kernel_context);
-  const auto result = engine.run(plan, engine_options);
+  const CellRun run = run_cell(session, spec, cell, cancel);
 
   CampaignOutcome outcome;
-  outcome.status = campaign::campaign_status(result);
+  outcome.status = campaign::campaign_status(run.result);
   outcome.output =
-      spec.json ? campaign::format_campaign_json(result, plan, netlist,
-                                                 engine_options, period)
-                : campaign::format_campaign_text(result, plan, netlist);
+      spec.json ? campaign::format_campaign_json(run.result, run.plan,
+                                                 netlist, run.engine_options,
+                                                 session.period_q100)
+                : campaign::format_campaign_text(run.result, run.plan,
+                                                 netlist);
   return outcome;
 }
 
@@ -196,7 +212,8 @@ CampaignOutcome run_campaign(const DesignSession& session,
   if (spec.json) {
     os << "{\n";
     os << "  \"schema\": \"cwsp-campaign-sweep-v1\",\n";
-    os << "  \"design\": \"" << netlist.name() << "\",\n";
+    os << "  \"design\": \"" << json_text::escape(netlist.name())
+       << "\",\n";
   }
   std::ostringstream cells_os;
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -295,31 +312,34 @@ std::string run_sta_report(const DesignSession& session) {
 }
 
 CoverageOutcome run_coverage(const DesignSession& session,
-                             const CoverageSpec& spec) {
+                             const CoverageSpec& spec,
+                             const sim::CancelToken* cancel) {
   const Netlist& netlist = *session.netlist;
   CWSP_REQUIRE_MSG(netlist.num_flip_flops() > 0,
                    "coverage requires a sequential design");
-  const auto params = core::ProtectionParams::q100();
-
-  core::CampaignOptions options;
-  options.runs = spec.runs;
-  options.cycles_per_run = spec.cycles;
-  options.glitch_width = Picoseconds(spec.width_ps);
-  options.seed = spec.seed;
-
-  const core::CoverageReport report =
-      spec.scenarios
-          ? core::run_scenario_sweep(netlist, params, session.period_q100,
-                                     options)
-          : core::run_functional_campaign(netlist, params,
-                                          session.period_q100, options);
+  // The campaign the spec denotes: `runs` single-set strikes, or with
+  // `scenarios` the same budget per §3.2 site, 4 × `runs` protection-seu
+  // strikes.
+  CampaignSpec campaign_spec;
+  campaign_spec.runs = spec.scenarios ? 4 * spec.runs : spec.runs;
+  campaign_spec.cycles = spec.cycles;
+  campaign_spec.width_ps = spec.width_ps;
+  campaign_spec.seed = spec.seed;
+  if (spec.scenarios) campaign_spec.fault_models = {"protection-seu"};
+  const CellRun run = run_cell(session, campaign_spec,
+                               campaign_cells(campaign_spec).front(), cancel);
+  const core::CoverageReport& report = run.result.report;
+  const std::vector<core::ScenarioStats> slices =
+      spec.scenarios ? campaign::protection_site_slices(run.plan, run.result)
+                     : report.scenarios;
 
   CoverageOutcome outcome;
   outcome.valid = report.valid();
+  outcome.interrupted = run.result.interrupted;
   std::ostringstream os;
   if (spec.json) {
     os << "{\n  \"schema\": \"cwsp-coverage-report-v1\",\n  \"design\": \""
-       << netlist.name() << "\",\n  \"mode\": \""
+       << json_text::escape(netlist.name()) << "\",\n  \"mode\": \""
        << (spec.scenarios ? "scenarios" : "functional")
        << "\",\n  \"seed\": " << spec.seed
        << ",\n  \"strikes\": " << report.strikes_injected
@@ -328,8 +348,8 @@ CoverageOutcome run_coverage(const DesignSession& session,
        << ",\n  \"inconclusive\": " << report.inconclusive
        << ",\n  \"coverage_pct\": " << num(report.protected_coverage_pct())
        << ",\n  \"scenarios\": [";
-    for (std::size_t i = 0; i < report.scenarios.size(); ++i) {
-      const core::ScenarioStats& s = report.scenarios[i];
+    for (std::size_t i = 0; i < slices.size(); ++i) {
+      const core::ScenarioStats& s = slices[i];
       if (i > 0) os << ", ";
       os << "{\"name\": \"" << s.name << "\", \"strikes\": " << s.strikes
          << ", \"escapes\": " << s.escapes << "}";
@@ -345,7 +365,7 @@ CoverageOutcome run_coverage(const DesignSession& session,
        << " %\n";
     os << "unprotected failures  : " << num(report.unprotected_failure_pct())
        << " %\n";
-    for (const core::ScenarioStats& s : report.scenarios) {
+    for (const core::ScenarioStats& s : slices) {
       os << "  " << s.name << ": " << s.strikes << " strikes, " << s.escapes
          << " escape(s)\n";
     }

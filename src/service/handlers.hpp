@@ -162,11 +162,20 @@ struct CoverageSpec {
 
 struct CoverageOutcome {
   bool valid = false;
+  /// `cancel` fired before every planned strike ran; the report covers
+  /// the completed ones.
+  bool interrupted = false;
   std::string output;
 };
 
-[[nodiscard]] CoverageOutcome run_coverage(const DesignSession& session,
-                                           const CoverageSpec& spec);
+/// Runs the campaign a coverage spec denotes on the session's kernel
+/// context and reports its totals, which equal the campaign op's for the
+/// same parameters: `runs` single-set strikes, or with `scenarios`
+/// 4 × `runs` protection-seu strikes, broken down by §3.2 site in order.
+/// `cancel` aborts between strikes, as for run_campaign.
+[[nodiscard]] CoverageOutcome run_coverage(
+    const DesignSession& session, const CoverageSpec& spec,
+    const sim::CancelToken* cancel = nullptr);
 
 // ---- certify --------------------------------------------------------
 

@@ -823,7 +823,10 @@ std::string Server::execute_job(const Job& job, sim::CancelToken* cancel) {
     }
     if (job.op == "coverage") {
       const auto spec = decode<CoverageSpec>(job.request);
-      const CoverageOutcome outcome = run_coverage(*session, spec);
+      const CoverageOutcome outcome = run_coverage(*session, spec, cancel);
+      if (cancel != nullptr && cancel->cancelled() && outcome.interrupted) {
+        return error_tail(job.op, "cancelled", "coverage cancelled in flight");
+      }
       return ok_tail(job.op, spec.json ? "json" : "text", outcome.output,
                      outcome.valid ? ",\"valid\":true" : ",\"valid\":false");
     }

@@ -94,6 +94,20 @@ const char* to_string(StrikeClass klass) {
   return "unknown";
 }
 
+const char* to_string(ProtectionSite site) {
+  switch (site) {
+    case ProtectionSite::kEqChecker:
+      return "eq-checker";
+    case ProtectionSite::kEqglbfDff:
+      return "eqglbf-dff";
+    case ProtectionSite::kCwStarDff:
+      return "cwstar-dff";
+    case ProtectionSite::kCwspOutput:
+      return "cwsp-output";
+  }
+  return "unknown";
+}
+
 StrikePlan build_strike_plan(const Netlist& netlist,
                              const StrikePlanOptions& options,
                              std::uint64_t seed) {

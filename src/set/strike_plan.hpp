@@ -75,6 +75,9 @@ enum class ProtectionSite : std::uint8_t {
   kCwspOutput,
 };
 
+/// "eq-checker", "eqglbf-dff", "cwstar-dff" or "cwsp-output".
+[[nodiscard]] const char* to_string(ProtectionSite site);
+
 struct PlannedStrike {
   /// Stable identity within the plan; journal entries, RNG streams and
   /// repro artifacts are all keyed by it.

@@ -19,7 +19,9 @@ void add_delay_line(Circuit& circuit, const std::string& prefix, int in,
 
 /// Measures the propagation delay (rising-input 50% → final-output 50%)
 /// of a delay line with the given segment count and POLY2 resistance.
-/// When `diagnostics` is non-null the transient's SolverDiagnostics is
+/// The transient stops once the output has switched (the measured delay
+/// is the one a longer window gives). When `diagnostics` is non-null the
+/// SolverDiagnostics of the transient the delay was read from is
 /// merge()d into it.
 [[nodiscard]] Picoseconds measure_delay_line(
     int segments, Kiloohms r_poly, const SpiceTech& tech = {},

@@ -6,13 +6,14 @@
 #include <gtest/gtest.h>
 
 #include "bencharness/generator.hpp"
-#include "cwsp/coverage.hpp"
+#include "campaign/campaign.hpp"
 #include "cwsp/elaborate.hpp"
 #include "cwsp/harden.hpp"
 #include "cwsp/timing.hpp"
 #include "netlist/transform.hpp"
 #include "netlist/verilog_writer.hpp"
 #include "netlist/writer.hpp"
+#include "scheme/fault_model.hpp"
 #include "set/ser.hpp"
 #include "sta/sta.hpp"
 
@@ -51,13 +52,20 @@ TEST(Integration, FullPipelineOnAlu2) {
   const Picoseconds period =
       std::max(core::hardened_clock_period(gen.measured_dmax, lib),
                core::min_clock_period_for_delta(params));
-  core::CampaignOptions options;
-  options.runs = 15;
-  options.cycles_per_run = 8;
-  options.glitch_width = Picoseconds(450.0);
-  options.seed = 77;
+  set::StrikePlanOptions plan_options;
+  plan_options.functional_strikes = 15;
+  plan_options.cycles_per_run = 8;
+  plan_options.glitch_width = Picoseconds(450.0);
+  plan_options.clock_period = period;
+  campaign::EngineOptions engine_options;
+  engine_options.seed = 77;
+  engine_options.cycles_per_run = plan_options.cycles_per_run;
   const auto coverage =
-      core::run_functional_campaign(seq, params, period, options);
+      campaign::CampaignEngine(seq, params, period)
+          .run(scheme::default_fault_model().build_plan(seq, plan_options,
+                                                        engine_options.seed),
+               engine_options)
+          .report;
   EXPECT_EQ(coverage.protected_failures, 0u);
   EXPECT_GT(coverage.unprotected_failures, 0u);
 

@@ -5,11 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include "cwsp/coverage.hpp"
+#include "campaign/campaign.hpp"
 #include "cwsp/elaborate_system.hpp"
 #include "cwsp/harden.hpp"
 #include "netlist/bench_parser.hpp"
 #include "iscas_data.hpp"
+#include "scheme/fault_model.hpp"
 #include "sim/logic_sim.hpp"
 #include "sta/sta.hpp"
 
@@ -99,13 +100,20 @@ TEST_F(IscasTest, S27ProtectedCampaign) {
   // s27 is tiny; the clock period is set by the protection path (Eq. 6).
   const Picoseconds period = core::min_clock_period_for_delta(params);
 
-  core::CampaignOptions options;
-  options.runs = 60;
-  options.cycles_per_run = 12;
-  options.glitch_width = Picoseconds(400.0);
-  options.seed = 2027;
+  set::StrikePlanOptions plan_options;
+  plan_options.functional_strikes = 60;
+  plan_options.cycles_per_run = 12;
+  plan_options.glitch_width = Picoseconds(400.0);
+  plan_options.clock_period = period;
+  campaign::EngineOptions engine_options;
+  engine_options.seed = 2027;
+  engine_options.cycles_per_run = plan_options.cycles_per_run;
   const auto report =
-      core::run_functional_campaign(s27, params, period, options);
+      campaign::CampaignEngine(s27, params, period)
+          .run(scheme::default_fault_model().build_plan(s27, plan_options,
+                                                        engine_options.seed),
+               engine_options)
+          .report;
   EXPECT_EQ(report.protected_failures, 0u);
   EXPECT_GT(report.unprotected_failures, 0u);
 }

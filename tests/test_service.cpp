@@ -14,12 +14,14 @@
 #include <sstream>
 #include <thread>
 
+#include "bencharness/generator.hpp"
 #include "campaign/report.hpp"
 #include "cell/library.hpp"
 #include "common/failpoint.hpp"
 #include "common/metrics.hpp"
 #include "lint/report.hpp"
 #include "netlist/bench_parser.hpp"
+#include "netlist/writer.hpp"
 #include "scheme/compare.hpp"
 #include "service/client.hpp"
 #include "service/handlers.hpp"
@@ -38,6 +40,23 @@ constexpr char kDesign[] =
 std::string json_design_field() {
   return "\"design\":\"" + json::escape(kDesign) +
          "\",\"design_name\":\"demo\"";
+}
+
+/// A 160-stage inverter chain between two flip-flops: deep enough for the
+/// hardened and certify lint rules to pass, and for a strike to cost a
+/// long cone walk.
+std::string inverter_chain() {
+  std::string chain = "INPUT(a)\nOUTPUT(q)\nd0 = DFF(a)\n";
+  for (int i = 1; i <= 160; ++i) {
+    chain += "d" + std::to_string(i) + " = NOT(d" + std::to_string(i - 1) +
+             ")\n";
+  }
+  return chain + "q = DFF(d160)\n";
+}
+
+std::string json_chain_field() {
+  return "\"design\":\"" + json::escape(inverter_chain()) +
+         "\",\"design_name\":\"chain\"";
 }
 
 /// A Unix-socket connection that writes raw bytes (Client always sends
@@ -208,21 +227,83 @@ TEST_F(ServiceTest, StaLintCoverageMatchDirectExecution) {
             run_coverage(*session, coverage_spec).output);
 }
 
+// The coverage op is a view of one campaign: its totals are the campaign
+// op's for the same parameters, and --scenarios is the protection-seu
+// campaign of 4 x runs strikes, broken down by §3.2 site.
+TEST(CoverageOp, TotalsEqualTheCampaignOpsInBothModes) {
+  const CellLibrary lib = make_default_library();
+  const Netlist c880 = bench::clone_with_output_flip_flops(
+      bench::generate_benchmark(bench::find_benchmark("C880"), lib).netlist);
+  const std::shared_ptr<const DesignSession> sessions[] = {
+      load_design_session(std::string(CWSP_EXAMPLE_DESIGNS) +
+                              "/pipeline4.bench",
+                          lib),
+      DesignSession::build("C880", to_bench_string(c880), lib)};
+  for (const auto& session : sessions) {
+    for (const bool scenarios : {false, true}) {
+      SCOPED_TRACE(session->name + (scenarios ? " scenarios" : " functional"));
+      CoverageSpec coverage;
+      coverage.runs = 60;
+      coverage.scenarios = scenarios;
+      CampaignSpec campaign;
+      campaign.runs = scenarios ? 4 * coverage.runs : coverage.runs;
+      campaign.cycles = coverage.cycles;
+      if (scenarios) campaign.fault_models = {"protection-seu"};
+
+      const CoverageOutcome outcome = run_coverage(*session, coverage);
+      EXPECT_TRUE(outcome.valid);
+      EXPECT_FALSE(outcome.interrupted);
+      const json::Value report = json::parse(outcome.output);
+      const json::Value totals =
+          *json::parse(run_campaign(*session, campaign).output)
+               .find("totals");
+      for (const char* key : {"strikes", "escapes", "unprotected_failures",
+                              "inconclusive", "coverage_pct"}) {
+        EXPECT_EQ(report.number(key, -1.0), totals.number(key, -2.0)) << key;
+      }
+      EXPECT_EQ(report.number("strikes", 0.0),
+                static_cast<double>(campaign.runs));
+
+      const json::Array& slices = report.find("scenarios")->as_array();
+      if (!scenarios) {
+        ASSERT_EQ(slices.size(), 1u);
+        EXPECT_EQ(slices[0].text("name", ""), "functional");
+        continue;
+      }
+      ASSERT_EQ(slices.size(), 4u);
+      double site_strikes = 0.0;
+      const char* const sites[] = {"eq-checker", "eqglbf-dff", "cwstar-dff",
+                                   "cwsp-output"};
+      for (std::size_t i = 0; i < slices.size(); ++i) {
+        EXPECT_EQ(slices[i].text("name", ""), sites[i]);
+        site_strikes += slices[i].number("strikes", 0.0);
+      }
+      EXPECT_EQ(site_strikes, report.number("strikes", -1.0));
+    }
+  }
+}
+
+TEST(CoverageOp, CancelledTokenStopsItBeforeAnyStrike) {
+  const CellLibrary lib = make_default_library();
+  const auto session = DesignSession::build("demo", kDesign, lib);
+  sim::CancelToken cancel;
+  cancel.cancel();
+  for (const bool scenarios : {false, true}) {
+    CoverageSpec spec;
+    spec.scenarios = scenarios;
+    const CoverageOutcome outcome = run_coverage(*session, spec, &cancel);
+    EXPECT_TRUE(outcome.interrupted);
+    EXPECT_FALSE(outcome.valid);
+    EXPECT_EQ(json::parse(outcome.output).number("strikes", -1.0), 0.0);
+  }
+}
+
 TEST_F(ServiceTest, LintSpecDecodedAtAdmissionMatchesDirectExecution) {
   start(2, 8);
-  // A 160-stage inverter chain between two flip-flops, sent inline: deep
-  // enough for the hardened and certify rule families to pass.
-  std::string chain = "INPUT(a)\nOUTPUT(q)\nd0 = DFF(a)\n";
-  for (int i = 1; i <= 160; ++i) {
-    chain += "d" + std::to_string(i) + " = NOT(d" + std::to_string(i - 1) +
-             ")\n";
-  }
-  chain += "q = DFF(d160)\n";
-  const std::string design =
-      "\"design\":\"" + json::escape(chain) + "\",\"design_name\":\"chain\"";
+  const std::string design = json_chain_field();
 
   LintSpec spec;
-  spec.text = chain;
+  spec.text = inverter_chain();
   spec.name = "chain";
   spec.hardened = true;
   spec.certify = true;
@@ -375,9 +456,10 @@ TEST_F(ServiceTest, BatchMemberCancelDoesNotAffectOtherConnections) {
   a.send_line(R"({"id":"s","op":"sleep","ms":150})");
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   // Long enough to still be running when the cancel below lands 100 ms
-  // after pickup (~0.3 s on the strike-lane kernel).
+  // after pickup: ~0.5 s on the strike-lane kernel for the inverter chain
+  // (the 3-gate demo design finishes in ~0.1 s, which the cancel misses).
   const std::string campaign =
-      R"({"op":"campaign","runs":400000,)" + json_design_field() + "}";
+      R"({"op":"campaign","runs":400000,)" + json_chain_field() + "}";
   a.send_line(R"({"id":"a1",)" + campaign.substr(1));
   b.send_line(R"({"id":"b1",)" + campaign.substr(1));
 
@@ -727,6 +809,25 @@ TEST(JsonEscape, ControlCharactersRoundTripThroughEveryReport) {
   const json::Value lint_doc = json::parse(lint::format_json(lint_report));
   EXPECT_EQ(lint_doc.text("design", ""), odd);
   EXPECT_EQ(first(lint_doc, "diagnostics").text("message", ""), odd);
+
+  // The session-level payloads name the design as well: coverage, a
+  // scheme sweep and certify, under a name that also carries a quote.
+  const std::string name = "we\"ird" + odd;
+  const auto session = DesignSession::build(name, kDesign, lib);
+  CoverageSpec coverage;
+  coverage.runs = 2;
+  EXPECT_EQ(json::parse(run_coverage(*session, coverage).output)
+                .text("design", ""),
+            name);
+  CampaignSpec sweep;
+  sweep.runs = 2;
+  sweep.schemes = {"cwsp", "tmr"};
+  EXPECT_EQ(json::parse(run_campaign(*session, sweep).output)
+                .text("design", ""),
+            name);
+  EXPECT_EQ(json::parse(run_certify(*session, CertifySpec{}).output)
+                .text("design", ""),
+            name);
 
   failpoint::Registry& registry = failpoint::Registry::global();
   registry.configure(odd + "=err");

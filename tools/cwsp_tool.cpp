@@ -36,7 +36,6 @@
 #include "common/table.hpp"
 #include "fabric/coordinator.hpp"
 #include "cwsp/area_report.hpp"
-#include "cwsp/coverage.hpp"
 #include "cwsp/elaborate.hpp"
 #include "cwsp/harden.hpp"
 #include "cwsp/timing.hpp"
@@ -645,8 +644,9 @@ const std::vector<Subcommand>& subcommands() {
        cmd_campaign},
       {"coverage", "<design.bench>", "functional/scenario coverage sweep",
        "  --runs <n> --cycles <n> --width <ps> --seed <n>\n"
-       "  --scenarios       sweep the scenario classes instead of random\n"
-       "                    functional strikes\n"
+       "  --scenarios       strike the four protection-circuit sites\n"
+       "                    (protection-seu, 4 x runs strikes) instead of\n"
+       "                    random functional strikes (single-set)\n"
        "  --json            machine-readable report\n",
        cmd_coverage},
       {"certify", "<design.bench>",
