@@ -10,13 +10,15 @@
 // Part B (throughput): runs a large functional-heavy plan on an ISCAS85
 // design (C880) with the scalar compiled kernel vs the strike-lane
 // kernel, reporting strikes/second, lane occupancy (filled slots over
-// offered slots, from the engine's metrics counters) and the lane/scalar
-// speedup. A lane-kernel run takes ~15 ms, so one timing swung the
-// speedup between 38× and 66× over 20 runs; each config's rate is the
-// median of 9 rounds taken round-robin (rotating the first config), and
-// every run must reproduce the first run's report (the scalar jobs-1
-// one). Results are emitted to BENCH_campaign.json (path overridable via
-// argv[1]) for ci/check-perf.sh's regression ratchet.
+// offered slots, from the engine's metrics counters), the strikes the
+// capture-aperture mask decided before batching (they take no lane slot)
+// and the lane/scalar speedup. A lane-kernel run takes a few ms (one
+// timing swung the speedup between 38× and 66× over 20 runs when it took
+// ~15 ms), so each config's rate is the median of 9 rounds taken
+// round-robin (rotating the first config), and every run must reproduce
+// the first run's report (the scalar jobs-1 one). Results are emitted to
+// BENCH_campaign.json (path overridable via argv[1]) for
+// ci/check-perf.sh's regression ratchet.
 //
 // Part C (schemes): runs the same C880 plan per registered
 // ProtectionScheme (cwsp, tmr, loco) on the lane kernel, checking each
@@ -57,6 +59,9 @@ struct RunStats {
   double strikes_per_second = 0.0;
   /// Filled lane slots over offered lane slots; -1 off the lane path.
   double lane_occupancy = -1.0;
+  /// Strikes decided by the capture-aperture mask before batching; -1 off
+  /// the lane path.
+  std::int64_t masked = -1;
   std::string json;
 };
 
@@ -68,6 +73,8 @@ RunStats run_once(const campaign::CampaignEngine& engine,
       registry.counter("campaign.lane_slots_filled").value();
   const std::uint64_t total0 =
       registry.counter("campaign.lane_slots_total").value();
+  const std::uint64_t masked0 =
+      registry.counter("campaign.lane_masked_strikes").value();
   Stopwatch watch;
   const auto result = engine.run(plan, options);
   RunStats stats;
@@ -80,6 +87,10 @@ RunStats run_once(const campaign::CampaignEngine& engine,
   if (total > 0) {
     stats.lane_occupancy =
         static_cast<double>(filled) / static_cast<double>(total);
+  }
+  if (options.use_lane_kernel) {
+    stats.masked = static_cast<std::int64_t>(
+        registry.counter("campaign.lane_masked_strikes").value() - masked0);
   }
   stats.json =
       campaign::format_campaign_json(result, plan, netlist, options, period);
@@ -113,6 +124,14 @@ double median(std::vector<double> values) {
 std::string occupancy_cell(double occupancy) {
   if (occupancy < 0.0) return "-";
   return TextTable::num(occupancy * 100.0, 1) + "%";
+}
+
+std::string masked_cell(std::int64_t masked) {
+  return masked < 0 ? "-" : std::to_string(masked);
+}
+
+std::string masked_json(std::int64_t masked) {
+  return masked < 0 ? "null" : std::to_string(masked);
 }
 
 }  // namespace
@@ -218,6 +237,7 @@ int main(int argc, char** argv) {
   constexpr std::size_t kThroughputRounds = 9;
   std::vector<std::vector<double>> seconds(throughput_configs.size());
   std::vector<double> occupancy(throughput_configs.size(), -1.0);
+  std::vector<std::int64_t> masked(throughput_configs.size(), -1);
   std::string big_baseline;
   for (std::size_t round = 0; round < kThroughputRounds; ++round) {
     // Each round starts at the next config, so none always runs first.
@@ -234,18 +254,21 @@ int main(int argc, char** argv) {
       }
       seconds[i].push_back(stats.seconds);
       occupancy[i] = stats.lane_occupancy;
+      masked[i] = stats.masked;
     }
   }
 
   TextTable throughput_table;
   throughput_table.set_header({"Kernel", "Jobs", "Strikes", "Wall s",
-                               "Strikes/s", "Speedup", "Occupancy", "Report"});
+                               "Strikes/s", "Speedup", "Occupancy", "Masked",
+                               "Report"});
   const auto rate_of = [&](std::size_t i) {
     return static_cast<double>(c880_plan.size()) / median(seconds[i]);
   };
   const double scalar_rate = rate_of(0);
   const double lane_j1_rate = rate_of(1);
   const double lane_j1_occupancy = occupancy[1];
+  const std::int64_t lane_j1_masked = masked[1];
   std::ostringstream rows_json;
   for (std::size_t i = 0; i < throughput_configs.size(); ++i) {
     const Config& config = throughput_configs[i];
@@ -255,7 +278,7 @@ int main(int argc, char** argv) {
          std::to_string(c880_plan.size()), TextTable::num(wall, 3),
          TextTable::num(rate_of(i), 1),
          TextTable::num(rate_of(i) / scalar_rate, 1) + "x",
-         occupancy_cell(occupancy[i]), "identical"});
+         occupancy_cell(occupancy[i]), masked_cell(masked[i]), "identical"});
     if (i != 0) rows_json << ",\n";
     rows_json << "    {\"kernel\": \"" << config.kernel
               << "\", \"jobs\": " << config.jobs
@@ -264,6 +287,7 @@ int main(int argc, char** argv) {
               << ", \"lane_occupancy\": "
               << (occupancy[i] < 0.0 ? std::string("null")
                                      : TextTable::num(occupancy[i], 4))
+              << ", \"lane_masked_strikes\": " << masked_json(masked[i])
               << "}";
   }
 
@@ -276,7 +300,9 @@ int main(int argc, char** argv) {
   std::cout << "\nSingle-job lane speedup (lane-auto vs scalar compiled): "
             << TextTable::num(speedup, 1) << "x at "
             << occupancy_cell(lane_j1_occupancy) << " lane occupancy ("
-            << isa.name << ", " << isa.lanes << " lanes).\n";
+            << isa.name << ", " << isa.lanes << " lanes); "
+            << masked_cell(lane_j1_masked)
+            << " strikes masked before batching take no lane slot.\n";
 
   // ---- Part C: per-scheme throughput through the registry.
   constexpr std::size_t kSchemeRounds = 21;
@@ -361,6 +387,8 @@ int main(int argc, char** argv) {
       << "    \"lane_occupancy\": "
       << (lane_j1_occupancy < 0.0 ? std::string("null")
                                   : TextTable::num(lane_j1_occupancy, 4))
+      << ",\n"
+      << "    \"lane_masked_strikes\": " << masked_json(lane_j1_masked)
       << "\n  },\n"
       << "  \"schemes\": {\n"
       << "    \"design\": \"C880\",\n"

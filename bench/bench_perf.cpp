@@ -166,6 +166,19 @@ const Netlist& c7552() {
   return netlist;
 }
 
+void BM_KernelContextBuild(benchmark::State& state) {
+  // CompiledKernelContext::build on generated C7552: the flat view, STA
+  // and the reverse topological pass that bounds every net's path delay
+  // to the flip-flop D pins — the set-up every session and every
+  // one-shot campaign pays once. items/s is builds/s.
+  const Netlist& netlist = c7552();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::CompiledKernelContext::build(netlist));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_KernelContextBuild)->Unit(benchmark::kMillisecond);
+
 void BM_LaneSweep(benchmark::State& state) {
   // One WideLogicSim::evaluate on generated C7552 (18,942 gates, 207 PIs
   // and 108 FFs settled per sweep), the lane kernel's per-cycle golden

@@ -470,21 +470,42 @@ void CampaignEngine::run_lane_strikes(const set::StrikePlan& plan,
   const bool cwsp_semantics = is_cwsp(sch);
 
   // Protection-path strikes are closed-form (§3.2 case analysis) —
-  // resolve them inline; only functional strikes need lane simulation.
+  // resolve them inline. So is a functional strike whose every half the
+  // capture aperture masks: it latches golden at every flip-flop, so its
+  // lane outcome is the all-golden one under any scheme. Only the rest
+  // need lane simulation.
+  const sim::CompiledKernelContext& context = *kernel_context_;
+  const auto masked = [&](const set::PlannedStrike& planned) {
+    return context.capture_masked(planned.strike, clock_period_) &&
+           (!planned.node2.valid() ||
+            context.capture_masked({planned.node2, planned.strike.start,
+                                    planned.strike.width},
+                                   clock_period_));
+  };
   std::vector<std::size_t> functional;
   functional.reserve(todo.size());
   std::uint64_t analytic = 0;
+  std::uint64_t masked_strikes = 0;
   for (std::size_t pos : todo) {
     if (options.cancel != nullptr && options.cancel->cancelled()) break;
     const set::PlannedStrike& planned = plan.strikes[pos];
-    if (planned.klass != set::StrikeClass::kProtectionPath) {
+    if (planned.klass == set::StrikeClass::kProtectionPath) {
+      record(writer, result, pos,
+             sch.resolve_protection_path(planned, options.cycles_per_run,
+                                         clock_period_));
+      ++analytic;
+    } else if (masked(planned)) {
+      sim::LaneOutcome golden;
+      golden.fired = planned.cycle < options.cycles_per_run;
+      record(writer, result, pos,
+             sch.resolve_functional(
+                 planned, golden,
+                 sch.squash_at_strike(*netlist_, params_, planned),
+                 options.cycles_per_run, params_));
+      ++masked_strikes;
+    } else {
       functional.push_back(pos);
-      continue;
     }
-    record(writer, result, pos,
-           sch.resolve_protection_path(planned, options.cycles_per_run,
-                                       clock_period_));
-    ++analytic;
   }
 
   // ---- lane batches --------------------------------------------------
@@ -577,6 +598,7 @@ void CampaignEngine::run_lane_strikes(const set::StrikePlan& plan,
   registry.counter("campaign.lane_slots_total").add(lane_slots.load());
   registry.counter("campaign.lane_timed_resolutions").add(timed.load());
   registry.counter("campaign.lane_analytic_strikes").add(analytic);
+  registry.counter("campaign.lane_masked_strikes").add(masked_strikes);
 }
 
 }  // namespace cwsp::campaign

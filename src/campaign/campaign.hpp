@@ -185,9 +185,11 @@ class CampaignEngine {
  private:
   /// The strike-lane kernel of run(): resolves the plan positions in
   /// `todo` (run()'s work list) into result.strikes, answering
-  /// protection-path strikes analytically and batching functional strikes
-  /// lanes-at-a-time through sim::StrikeLaneSim. Byte-identical to the
-  /// scalar kernel.
+  /// protection-path strikes analytically and functional strikes the
+  /// capture aperture masks (sim::CompiledKernelContext::capture_masked)
+  /// from the all-golden lane outcome, and batching the remaining
+  /// functional strikes lanes-at-a-time through sim::StrikeLaneSim.
+  /// Byte-identical to the scalar kernel.
   void run_lane_strikes(const set::StrikePlan& plan,
                         const EngineOptions& options,
                         const std::vector<std::size_t>& todo,

@@ -152,6 +152,9 @@ Server::Server(ServerOptions options, const CellLibrary& library)
   CWSP_REQUIRE_MSG(!options_.socket_path.empty(),
                    "server needs a socket path");
   if (options_.workers == 0) options_.workers = 1;
+  // Created before any thread can call request_shutdown, which writes it
+  // from whichever thread asks: run() only reads it.
+  CWSP_REQUIRE_MSG(::pipe(shutdown_pipe_) == 0, "cannot create pipe");
 }
 
 Server::~Server() {
@@ -168,8 +171,6 @@ void Server::request_shutdown() {
 }
 
 void Server::run() {
-  CWSP_REQUIRE_MSG(::pipe(shutdown_pipe_) == 0, "cannot create pipe");
-
   const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   CWSP_REQUIRE_MSG(listen_fd >= 0, "cannot create unix socket");
   sockaddr_un addr{};

@@ -1,6 +1,8 @@
 #include "sim/compiled_kernel.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/metrics.hpp"
 #include "sta/sta.hpp"
@@ -13,8 +15,58 @@ std::shared_ptr<const CompiledKernelContext> CompiledKernelContext::build(
   context->view = FlatNetlistView::build(netlist);
   context->gate_delay_ps = std::make_shared<const std::vector<double>>(
       run_sta(netlist).gate_delay_ps);
+  context->setup_ps = netlist.library().regular_ff().setup.value();
+  context->hold_ps = netlist.library().regular_ff().hold.value();
+
+  // Reverse topological pass: a gate's output bounds are final before
+  // its inputs are relaxed through it.
+  const FlatNetlistView& view = *context->view;
+  const std::vector<double>& delays = *context->gate_delay_ps;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double>& lo = context->d_pin_min_ps;
+  std::vector<double>& hi = context->d_pin_max_ps;
+  lo.assign(view.num_nets(), kInf);
+  hi.assign(view.num_nets(), -kInf);
+  for (std::size_t f = 0; f < view.num_flip_flops(); ++f) {
+    lo[view.ff_d_net(f)] = 0.0;
+    hi[view.ff_d_net(f)] = 0.0;
+  }
+  const std::vector<std::uint32_t>& order = view.topo_order();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const std::uint32_t g = *it;
+    const std::uint32_t out = view.gate_output(g);
+    if (lo[out] == kInf) continue;  // no D pin downstream of this gate
+    const double shortest = delays[g] + lo[out];
+    const double longest = delays[g] + hi[out];
+    const std::uint32_t* in = view.gate_inputs_begin(g);
+    for (std::uint32_t i = 0; i < view.gate_num_inputs(g); ++i) {
+      lo[in[i]] = std::min(lo[in[i]], shortest);
+      hi[in[i]] = std::max(hi[in[i]], longest);
+    }
+  }
   metrics::Registry::global().counter("kernel.context_builds").add();
   return context;
+}
+
+bool CompiledKernelContext::capture_masked(const set::Strike& strike,
+                                           Picoseconds capture_time) const {
+  const double start = strike.start.value();
+  const double width = strike.width.value();
+  if (!strike.node.valid() || strike.node.index() >= d_pin_min_ps.size() ||
+      !std::isfinite(start) || !std::isfinite(width) || width < 0.0) {
+    return false;
+  }
+  const double shortest = d_pin_min_ps[strike.node.index()];
+  if (shortest == std::numeric_limits<double>::infinity()) return true;
+  // The aperture widened to contain T, so a masked D pin also samples its
+  // golden value at T: every toggle before it leaves the final (golden)
+  // value, every toggle after it the initial (golden) one.
+  const double t = capture_time.value();
+  const double early = std::min(t - setup_ps, t);
+  const double late = std::max(t + hold_ps, t);
+  return start + width + d_pin_max_ps[strike.node.index()] <
+             early - kMaskMarginPs ||
+         start + shortest > late + kMaskMarginPs;
 }
 
 CompiledEventSim::~CompiledEventSim() {
@@ -44,8 +96,6 @@ CompiledEventSim::CompiledEventSim(
   CWSP_REQUIRE_MSG(&context_->view->netlist() == &netlist,
                    "compiled-kernel context built for a different netlist");
   const FlatNetlistView& view = *context_->view;
-  setup_ps_ = netlist.library().regular_ff().setup.value();
-  hold_ps_ = netlist.library().regular_ff().hold.value();
   const std::size_t nff = view.num_flip_flops();
   endpoint_first_.assign(view.num_nets(), kNone);
   endpoint_next_.assign(nff + view.po_nets().size(), kNone);
@@ -283,6 +333,8 @@ void CompiledEventSim::visit_reached(Picoseconds capture_time,
                                      Visit visit) const {
   const std::size_t nff = context_->view->num_flip_flops();
   const double t_capture = capture_time.value();
+  const double setup = context_->setup_ps;
+  const double hold = context_->hold_ps;
   for (const Slot& slot : slots_) {
     for (std::uint32_t e = endpoint_first_[slot.net]; e != kNone;
          e = endpoint_next_[e]) {
@@ -293,8 +345,8 @@ void CompiledEventSim::visit_reached(Picoseconds capture_time,
           waveform::value_at(toggles(slot), slot.initial, t_capture);
       reached.aperture =
           e < nff && waveform::has_transition_in(toggles(slot),
-                                                 t_capture - setup_ps_,
-                                                 t_capture + hold_ps_);
+                                                 t_capture - setup,
+                                                 t_capture + hold);
       visit(reached);
     }
   }

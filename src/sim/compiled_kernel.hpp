@@ -22,9 +22,11 @@
 //     (resolve_lane_strike, which returns just the endpoints the pulse
 //     reached).
 //
-//   * CompiledKernelContext — the shareable immutable part (flat view +
-//     STA gate delays), built once per netlist and handed to every
-//     worker thread of a campaign.
+//   * CompiledKernelContext — the shareable immutable part (flat view,
+//     STA gate delays, the capture aperture and every net's path-delay
+//     bounds to the flip-flop D pins, which decide the strikes that
+//     cannot latch: capture_masked), built once per netlist and handed
+//     to every worker thread of a campaign.
 //
 // A CompiledEventSim instance is NOT thread-safe (it owns mutable scratch
 // and the golden cache); create one per worker and share the context.
@@ -71,15 +73,46 @@ struct CycleResult {
 };
 
 /// Immutable per-netlist data shared by compiled kernels across threads:
-/// the flattened topology and the STA-derived per-gate delays.
+/// the flattened topology, the STA-derived per-gate delays and the
+/// per-net path-delay bounds to the flip-flop D pins.
 struct CompiledKernelContext {
   std::shared_ptr<const FlatNetlistView> view;
   std::shared_ptr<const std::vector<double>> gate_delay_ps;
+  /// Per net, the shortest and longest sum of gate_delay_ps over the gate
+  /// paths from it to any flip-flop D pin: 0 for a net that drives one,
+  /// +inf / -inf where no D pin is reachable.
+  std::vector<double> d_pin_min_ps;
+  std::vector<double> d_pin_max_ps;
+  /// The regular flip-flop's setup and hold, which bound the capture
+  /// aperture [T - setup, T + hold] around a capture edge T.
+  double setup_ps = 0.0;
+  double hold_ps = 0.0;
 
-  /// Builds the view and runs STA once. The netlist must outlive the
-  /// returned context.
+  /// Slack (ps) every capture_masked comparison keeps against the
+  /// rounding between the kernel's path sums and the bounds' (see
+  /// capture_masked).
+  static constexpr double kMaskMarginPs = 1e-6;
+
+  /// Builds the view, runs STA once and fills the D-pin bounds in one
+  /// reverse topological pass. The netlist must outlive the returned
+  /// context.
   [[nodiscard]] static std::shared_ptr<const CompiledKernelContext> build(
       const Netlist& netlist);
+
+  /// True when `strike` provably latches golden at every flip-flop with
+  /// no aperture violation for a capture at `capture_time`: no D pin is
+  /// reachable from its net, or every toggle it can put on a D pin falls
+  /// before both T - setup and T (start + width + d_pin_max), or after
+  /// both T + hold and T (start + d_pin_min), by more than kMaskMarginPs.
+  /// Exact because every toggle the timed resolver emits is a toggle of
+  /// the struck net delayed by the gate delays of one path, the inertial
+  /// filter only removes toggles, and every waveform starts and ends at
+  /// its golden value (docs/perf.md §5). Says nothing about primary
+  /// outputs. False for a strike the resolver would reject (an invalid
+  /// net, a negative width, a non-finite time), which keeps its error
+  /// path.
+  [[nodiscard]] bool capture_masked(const set::Strike& strike,
+                                    Picoseconds capture_time) const;
 };
 
 /// One memoized golden (no-strike) cycle: the settled value of every net
@@ -258,8 +291,6 @@ class CompiledEventSim {
 
   std::shared_ptr<const CompiledKernelContext> context_;
   const CancelToken* cancel_ = nullptr;
-  double setup_ps_ = 0.0;
-  double hold_ps_ = 0.0;
   /// Endpoints whose net is n: endpoint_first_[n], then endpoint_next_[e]
   /// until kNone. Endpoint e < #FFs is the D pin of FF e, else primary
   /// output e - #FFs (one net may drive several of either).

@@ -319,12 +319,24 @@ void StrikeLaneSim::run_packed(const std::vector<LaneScenario>& batch,
   lanes_filled_ += B;
   lane_slots_ += lanes();
 
+  // A half the capture aperture masks latches golden everywhere
+  // (CompiledKernelContext::capture_masked), so it is neither resolved
+  // nor given a cone.
+  const auto live = [&](const set::Strike& half) {
+    return !context_->capture_masked(half, clock_period_);
+  };
+  const auto second_half = [](const LaneScenario& sc) {
+    return set::Strike{sc.node2, sc.strike.start, sc.strike.width};
+  };
+
   // Build the batch's cold cones back to back, before the planes' sweeps
   // evict the view from cache; resolution then only looks them up.
   for (const LaneScenario& sc : batch) {
     if (sc.cycle >= cycles) continue;
-    (void)view.cone_of(sc.strike.node);
-    if (sc.node2.valid()) (void)view.cone_of(sc.node2);
+    if (live(sc.strike)) (void)view.cone_of(sc.strike.node);
+    if (sc.node2.valid() && live(second_half(sc))) {
+      (void)view.cone_of(sc.node2);
+    }
   }
 
   // Reset both planes to the all-zero state (ProtectionSim's reset).
@@ -363,10 +375,9 @@ void StrikeLaneSim::run_packed(const std::vector<LaneScenario>& batch,
       // violations accumulate.
       PendingDivergence div;
       div.lane = l;
-      const set::Strike halves[] = {
-          batch[l].strike,
-          {batch[l].node2, batch[l].strike.start, batch[l].strike.width}};
+      const set::Strike halves[] = {batch[l].strike, second_half(batch[l])};
       for (std::size_t h = 0; h < (batch[l].node2.valid() ? 2u : 1u); ++h) {
+        if (!live(halves[h])) continue;
         ++timed_resolutions_;
         event_.resolve_lane_strike(plane, words, l, clock_period_, halves[h],
                                    reached_);

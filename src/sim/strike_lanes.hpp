@@ -233,7 +233,9 @@ class StrikeLaneSim {
   /// l's bit for primary input p on cycle t is bit l % 64 of
   /// stimulus[(t * PIs + p) * (lanes() / 64) + l / 64], so each cycle is
   /// one contiguous WideLogicSim input block. `stimulus` holds exactly
-  /// `cycles` such blocks; the scenarios' `inputs` are not read. The
+  /// `cycles` such blocks; the scenarios' `inputs` are not read. A strike
+  /// half that CompiledKernelContext::capture_masked masks at the clock
+  /// period is neither resolved nor given a cone: it latches golden. The
   /// campaign engine's entry.
   void run_packed(const std::vector<LaneScenario>& batch, std::size_t cycles,
                   const std::vector<std::uint64_t>& stimulus,

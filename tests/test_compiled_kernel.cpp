@@ -5,9 +5,10 @@
 // steps must match scalar LogicSim. The CompiledKernelOracle suite drives
 // every branch of the timed resolver (blocked, shifted and merged gates,
 // filtered pulses, coincident toggles, shared D nets, cancellation, the
-// reusing overload) against the same oracle. Plus unit tests of the
-// golden-waveform cache and of resolve_strike's read set on a generated
-// C880.
+// reusing overload) against the same oracle. The CaptureMask suite pins
+// CompiledKernelContext::capture_masked to the oracle: every strike it
+// masks latches golden there. Plus unit tests of the golden-waveform
+// cache and of resolve_strike's read set on a generated C880.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <limits>
 
 #include "bencharness/generator.hpp"
+#include "netlist/bench_parser.hpp"
 #include "netlist/flat_view.hpp"
 #include "netlist_fuzz.hpp"
 #include "oracle/event_sim.hpp"
@@ -715,6 +717,172 @@ TEST(CompiledKernelOracle, ReusedResultEqualsByValueResolution) {
     previous_reached = by_value.glitch_reached_endpoint;
   }
   EXPECT_GT(reached_then_not, 10u);
+}
+
+// ------------------------------------------------ capture-aperture mask
+
+/// Offsets (ps) of a start from a bound edge: on it, and ±1e-3, ±1e-5 and
+/// ±1e-7 from it (the last pair inside the mask's margin).
+constexpr double kEdgeOffsets[] = {0.0, 1e-3, -1e-3, 1e-5, -1e-5, 1e-7, -1e-7};
+
+/// A capture time that keeps every edge-placed start of a strike up to
+/// 600 ps wide non-negative.
+Picoseconds capture_after_longest_path(
+    const sim::CompiledKernelContext& context) {
+  double longest = 0.0;
+  for (double d : context.d_pin_max_ps) longest = std::max(longest, d);
+  return Picoseconds(longest + 700.0);
+}
+
+struct MaskTally {
+  std::size_t masked = 0;
+  /// Kept strikes the oracle saw flip a flip-flop or violate an aperture.
+  std::size_t kept_corrupting = 0;
+};
+
+/// Strikes on `samples` sampled sites under random stimulus, each started
+/// so that its last toggle at a D pin lands on T - setup, or its first on
+/// T + hold, give or take kEdgeOffsets. The mask must decide exactly the
+/// starts beyond an edge by more than its margin, and the oracle must
+/// latch golden with no aperture violation at every flip-flop for each
+/// strike it masks.
+MaskTally expect_mask_sound(const Netlist& netlist, std::size_t samples,
+                            std::uint64_t seed) {
+  const auto context = sim::CompiledKernelContext::build(netlist);
+  const sim::EventSim oracle(netlist);
+  const Picoseconds capture = capture_after_longest_path(*context);
+  const double early = capture.value() - context->setup_ps;
+  const double late = capture.value() + context->hold_ps;
+  const double margin = sim::CompiledKernelContext::kMaskMarginPs;
+  const std::vector<NetId> sites = set::strike_sites(netlist);
+  Rng rng(seed);
+  MaskTally tally;
+  for (std::size_t s = 0; s < samples; ++s) {
+    const NetId site = sites[rng.next_below(sites.size())];
+    const auto pis = random_bits(netlist.primary_inputs().size(), rng);
+    const auto ffs = random_bits(netlist.num_flip_flops(), rng);
+    const double width = rng.next_double_in(0.0, 600.0);
+    const double shortest = context->d_pin_min_ps[site.index()];
+    const double longest = context->d_pin_max_ps[site.index()];
+    struct Placed {
+      double start;
+      bool masked;
+    };
+    std::vector<Placed> placed;
+    if (std::isinf(shortest)) {
+      placed.push_back({rng.next_double_in(0.0, capture.value()), true});
+    } else {
+      for (double off : kEdgeOffsets) {
+        placed.push_back({early - width - longest + off, off < -margin});
+        placed.push_back({late - shortest + off, off > margin});
+      }
+    }
+    for (const Placed& p : placed) {
+      const set::Strike strike{site, Picoseconds(p.start), Picoseconds(width)};
+      const std::string at = netlist.net(site).name + " start " +
+                             std::to_string(p.start) + " width " +
+                             std::to_string(width);
+      const bool masked = context->capture_masked(strike, capture);
+      EXPECT_EQ(masked, p.masked) << at;
+      const bool corrupts =
+          oracle.simulate_cycle(pis, ffs, capture, strike).any_ff_corrupted();
+      if (masked) {
+        ++tally.masked;
+        EXPECT_FALSE(corrupts) << "masked strike latches non-golden: " << at;
+      } else if (corrupts) {
+        ++tally.kept_corrupting;
+      }
+    }
+  }
+  return tally;
+}
+
+/// Double strikes whose first half the mask decides and whose second half
+/// it keeps, through run_packed on cycle 0 of a one-cycle run: each
+/// lane's outcome must equal the oracle's superposition of both halves,
+/// from one resolution per lane.
+void expect_masked_half_skipped(const Netlist& netlist, std::uint64_t seed) {
+  const auto context = sim::CompiledKernelContext::build(netlist);
+  const sim::EventSim oracle(netlist);
+  const Picoseconds capture = capture_after_longest_path(*context);
+  const double early = capture.value() - context->setup_ps;
+  const std::vector<NetId> sites = set::strike_sites(netlist);
+  const std::size_t npi = netlist.primary_inputs().size();
+  Rng rng(seed);
+  sim::StrikeLaneSim lanes(context, capture, Picoseconds(500.0), 64);
+  std::vector<sim::LaneScenario> batch;
+  std::vector<std::uint64_t> stimulus(npi, 0);
+  std::vector<std::vector<bool>> inputs;
+  for (std::size_t tries = 0; batch.size() < 64 && tries < 100000; ++tries) {
+    const NetId first = sites[rng.next_below(sites.size())];
+    const NetId second = sites[rng.next_below(sites.size())];
+    const double width = rng.next_double_in(0.0, 600.0);
+    sim::LaneScenario sc;
+    sc.strike = {first, Picoseconds(early - width -
+                                    context->d_pin_max_ps[first.index()] -
+                                    1e-3),
+                 Picoseconds(width)};
+    sc.node2 = second;
+    const set::Strike second_half{second, sc.strike.start, sc.strike.width};
+    if (!std::isfinite(sc.strike.start.value()) ||
+        !context->capture_masked(sc.strike, capture) ||
+        context->capture_masked(second_half, capture)) {
+      continue;
+    }
+    inputs.push_back(random_bits(npi, rng));
+    for (std::size_t p = 0; p < npi; ++p) {
+      if (inputs.back()[p]) stimulus[p] |= 1ull << batch.size();
+    }
+    batch.push_back(sc);
+  }
+  ASSERT_EQ(batch.size(), 64u);
+  std::vector<sim::LaneOutcome> out;
+  lanes.run_packed(batch, 1, stimulus, out);
+  EXPECT_EQ(lanes.timed_resolutions(), batch.size());
+
+  const std::vector<bool> reset(netlist.num_flip_flops(), false);
+  std::size_t latched = 0;
+  for (std::size_t l = 0; l < batch.size(); ++l) {
+    std::vector<bool> flips(reset.size(), false);
+    bool aperture = false;
+    for (const set::Strike& half :
+         {batch[l].strike, set::Strike{batch[l].node2, batch[l].strike.start,
+                                       batch[l].strike.width}}) {
+      const sim::CycleResult r =
+          oracle.simulate_cycle(inputs[l], reset, capture, half);
+      for (std::size_t f = 0; f < flips.size(); ++f) {
+        if (r.latched_d[f] != r.golden_d[f]) flips[f] = !flips[f];
+        aperture = aperture || r.aperture_violation[f];
+      }
+    }
+    const bool latched_diff =
+        std::find(flips.begin(), flips.end(), true) != flips.end();
+    EXPECT_TRUE(out[l].fired) << "lane " << l;
+    EXPECT_EQ(out[l].latched_diff, latched_diff) << "lane " << l;
+    EXPECT_EQ(out[l].aperture, aperture) << "lane " << l;
+    if (latched_diff || aperture) ++latched;
+  }
+  EXPECT_GT(latched, 0u) << "no kept half latched anything";
+}
+
+TEST(CaptureMask, MaskedStrikesLatchGoldenInTheOracleOnPipeline4) {
+  const CellLibrary lib = make_default_library();
+  const Netlist netlist = parse_bench_file(
+      std::string(CWSP_EXAMPLE_DESIGNS) + "/pipeline4.bench", lib);
+  const MaskTally tally = expect_mask_sound(netlist, 400, 41);
+  EXPECT_GT(tally.masked, 1000u);
+  EXPECT_GT(tally.kept_corrupting, 100u) << "the bound is not tight";
+  expect_masked_half_skipped(netlist, 42);
+}
+
+TEST(CaptureMask, MaskedStrikesLatchGoldenInTheOracleOnC880) {
+  const CellLibrary lib = make_default_library();
+  const Netlist netlist = bench::clone_with_output_flip_flops(
+      bench::generate_benchmark(bench::find_benchmark("C880"), lib).netlist);
+  const MaskTally tally = expect_mask_sound(netlist, 300, 43);
+  EXPECT_GT(tally.masked, 1000u);
+  EXPECT_GT(tally.kept_corrupting, 100u) << "the bound is not tight";
+  expect_masked_half_skipped(netlist, 44);
 }
 
 }  // namespace

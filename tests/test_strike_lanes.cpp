@@ -13,7 +13,8 @@
 //     at every lane width and jobs value, including edge batches
 //     (smaller than the lane count, strikes on PI/FF-Q/PO nets,
 //     zero-width pulses, strike cycles beyond the run), on s27 and on a
-//     generated C880;
+//     generated C880, each plan sending strikes both to the
+//     capture-aperture mask and through run_packed;
 //   * certify at every lane width against its 64-wide reports.
 //
 // Plus the batch entries themselves: run_batch rejects malformed
@@ -26,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -498,17 +500,35 @@ std::string report_for(const Netlist& netlist,
   return campaign::format_campaign_json(result, plan, netlist, opts, period);
 }
 
+/// Deltas of the lane path's counters over the runs between two reads.
+struct LaneCounts {
+  std::uint64_t batches = 0;
+  std::uint64_t filled = 0;
+  std::uint64_t masked = 0;
+
+  static LaneCounts read() {
+    auto& registry = metrics::Registry::global();
+    return {registry.counter("campaign.lane_batches").value(),
+            registry.counter("campaign.lane_slots_filled").value(),
+            registry.counter("campaign.lane_masked_strikes").value()};
+  }
+  LaneCounts operator-(const LaneCounts& before) const {
+    return {batches - before.batches, filled - before.filled,
+            masked - before.masked};
+  }
+};
+
 /// The scalar ProtectionSim pool's report is the oracle; the lane path
-/// must reproduce it at every width and jobs value.
-void expect_width_and_jobs_invariant(const Netlist& netlist,
-                                     const core::ProtectionParams& params,
-                                     Picoseconds period,
-                                     const set::StrikePlan& plan,
-                                     campaign::EngineOptions base,
-                                     const std::string& label) {
+/// must reproduce it at every width and jobs value. Returns the lane
+/// counters' deltas over those lane runs.
+LaneCounts expect_lane_reports_match_scalar(
+    const Netlist& netlist, const core::ProtectionParams& params,
+    Picoseconds period, const set::StrikePlan& plan,
+    campaign::EngineOptions base, const std::string& label) {
   base.use_lane_kernel = false;
   base.jobs = 1;
   const std::string scalar = report_for(netlist, params, period, plan, base);
+  const LaneCounts before = LaneCounts::read();
   for (std::size_t width : sim::WideLogicSim::supported_lane_widths()) {
     for (std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
       campaign::EngineOptions lane = base;
@@ -519,6 +539,22 @@ void expect_width_and_jobs_invariant(const Netlist& netlist,
           << label << ": lane width " << width << " jobs " << jobs;
     }
   }
+  return LaneCounts::read() - before;
+}
+
+/// expect_lane_reports_match_scalar on a plan that must send strikes down
+/// both lane-path routes: some decided by the capture-aperture mask
+/// before batching, some through run_packed.
+void expect_width_and_jobs_invariant(const Netlist& netlist,
+                                     const core::ProtectionParams& params,
+                                     Picoseconds period,
+                                     const set::StrikePlan& plan,
+                                     const campaign::EngineOptions& base,
+                                     const std::string& label) {
+  const LaneCounts counts = expect_lane_reports_match_scalar(
+      netlist, params, period, plan, base, label);
+  EXPECT_GT(counts.masked, 0u) << label << ": no strike was masked";
+  EXPECT_GT(counts.filled, 0u) << label << ": no strike took a lane";
 }
 
 class LaneCampaignTest : public ::testing::Test {
@@ -531,6 +567,19 @@ class LaneCampaignTest : public ::testing::Test {
   [[nodiscard]] campaign::CampaignEngine engine() const {
     return campaign::CampaignEngine(netlist_, params_, period_);
   }
+
+  /// The start that puts a `width`-wide pulse's trailing toggle on
+  /// `net`'s latest flip-flop D pin exactly at the capture edge: inside
+  /// the aperture, so the mask keeps it and it takes a lane.
+  [[nodiscard]] double aperture_start(NetId net, double width) const {
+    return period_.value() - width - context_->d_pin_max_ps[net.index()];
+  }
+  [[nodiscard]] bool reaches_d_pin(NetId net) const {
+    return std::isfinite(context_->d_pin_max_ps[net.index()]);
+  }
+
+  std::shared_ptr<const sim::CompiledKernelContext> context_ =
+      sim::CompiledKernelContext::build(netlist_);
 
   void expect_width_and_jobs_invariant(const set::StrikePlan& plan,
                                        const campaign::EngineOptions& base,
@@ -561,24 +610,35 @@ TEST_F(LaneCampaignTest, EveryNetEveryWidthClassMatchesScalar) {
   // Manual plan sweeping every net of s27 — primary inputs, FF Q nets,
   // gate outputs and PO-driving nets included — with a zero-width pulse,
   // an in-envelope pulse, and an out-of-envelope pulse per net, plus
-  // strike cycles at and beyond the run length.
+  // strike cycles at and beyond the run length. Early in the 2000 ps
+  // cycle every pulse ends long before the capture aperture, so the mask
+  // decides them all; each class is struck again on every net that
+  // reaches a D pin with its trailing toggle timed into the aperture,
+  // which sends it through run_packed.
   const std::size_t cycles = 6;
   const double widths[] = {0.0, params_.delta.value() * 0.5,
                            params_.delta.value() + 400.0};
   set::StrikePlan plan;
   std::size_t index = 0;
-  for (std::size_t n = 0; n < netlist_.num_nets(); ++n) {
-    for (std::size_t v = 0; v < std::size(widths); ++v) {
-      set::PlannedStrike p;
-      p.index = index;
-      p.klass = set::StrikeClass::kFunctional;
-      // Lands some strikes on the final cycle and some past the run.
-      p.cycle = index % (cycles + 2);
-      p.strike.node = NetId{n};
-      p.strike.start = Picoseconds(120.0 * static_cast<double>(v + 1));
-      p.strike.width = Picoseconds(widths[v]);
-      plan.strikes.push_back(p);
-      ++index;
+  for (const bool aperture_timed : {false, true}) {
+    for (std::size_t n = 0; n < netlist_.num_nets(); ++n) {
+      if (aperture_timed && !reaches_d_pin(NetId{n})) continue;
+      for (std::size_t v = 0; v < std::size(widths); ++v) {
+        set::PlannedStrike p;
+        p.index = index;
+        p.klass = set::StrikeClass::kFunctional;
+        // Lands some strikes on the final cycle and some past the run.
+        p.cycle = index % (cycles + 2);
+        p.strike.node = NetId{n};
+        p.strike.start =
+            Picoseconds(aperture_timed ? aperture_start(NetId{n}, widths[v])
+                                       : 120.0 * static_cast<double>(v + 1));
+        p.strike.width = Picoseconds(widths[v]);
+        EXPECT_NE(context_->capture_masked(p.strike, period_), aperture_timed)
+            << netlist_.net(NetId{n}).name << " width " << widths[v];
+        plan.strikes.push_back(p);
+        ++index;
+      }
     }
   }
 
@@ -591,23 +651,34 @@ TEST_F(LaneCampaignTest, EveryNetEveryWidthClassMatchesScalar) {
 TEST_F(LaneCampaignTest, SpuriousEqWindowStrikesMatchScalar) {
   // Pulses on FF Q nets positioned exactly across the CLK_DEL sampling
   // moment exercise the spurious-EQ squash path analytically resolved by
-  // the lane engine.
+  // the lane engine. Each pulse ends before the capture aperture, so the
+  // mask decides it; the same pulse stretched until its trailing toggle
+  // reaches the Q net's latest D pin at the capture edge still spans the
+  // sample and takes a lane.
   const double t_sample = params_.clk_del_delay().value();
   set::StrikePlan plan;
   std::size_t index = 0;
-  for (std::size_t f = 0; f < netlist_.num_flip_flops(); ++f) {
-    const NetId q = netlist_.flip_flop(FlipFlopId{f}).q;
-    for (double width : {params_.delta.value() * 0.5,
-                         params_.delta.value() + 300.0}) {
-      set::PlannedStrike p;
-      p.index = index;
-      p.klass = set::StrikeClass::kFunctional;
-      p.cycle = index % 5;
-      p.strike.node = q;
-      p.strike.start = Picoseconds(t_sample - width * 0.5);
-      p.strike.width = Picoseconds(width);
-      plan.strikes.push_back(p);
-      ++index;
+  for (const bool aperture_timed : {false, true}) {
+    for (std::size_t f = 0; f < netlist_.num_flip_flops(); ++f) {
+      const NetId q = netlist_.flip_flop(FlipFlopId{f}).q;
+      if (aperture_timed && !reaches_d_pin(q)) continue;
+      for (double width : {params_.delta.value() * 0.5,
+                           params_.delta.value() + 300.0}) {
+        set::PlannedStrike p;
+        p.index = index;
+        p.klass = set::StrikeClass::kFunctional;
+        p.cycle = index % 5;
+        p.strike.node = q;
+        p.strike.start = Picoseconds(t_sample - width * 0.5);
+        p.strike.width =
+            Picoseconds(aperture_timed ? aperture_start(q, 0.0) -
+                                             p.strike.start.value()
+                                       : width);
+        EXPECT_NE(context_->capture_masked(p.strike, period_), aperture_timed)
+            << netlist_.net(q).name << " width " << width;
+        plan.strikes.push_back(p);
+        ++index;
+      }
     }
   }
 
@@ -637,12 +708,7 @@ TEST_F(LaneCampaignTest, LaneTelemetryCountsBatchesAndSlots) {
   po.clock_period = period_;
   const auto plan = set::build_strike_plan(netlist_, po, 3);
 
-  auto& registry = metrics::Registry::global();
-  const auto batches_before =
-      registry.counter("campaign.lane_batches").value();
-  const auto filled_before =
-      registry.counter("campaign.lane_slots_filled").value();
-
+  const LaneCounts before = LaneCounts::read();
   campaign::EngineOptions opts;
   opts.seed = 4;
   opts.cycles_per_run = 4;
@@ -650,10 +716,45 @@ TEST_F(LaneCampaignTest, LaneTelemetryCountsBatchesAndSlots) {
   const auto result = engine().run(plan, opts);
   EXPECT_EQ(result.report.runs, plan.size());
 
-  EXPECT_EQ(registry.counter("campaign.lane_batches").value(),
-            batches_before + 1);
-  EXPECT_EQ(registry.counter("campaign.lane_slots_filled").value(),
-            filled_before + static_cast<std::int64_t>(plan.size()));
+  // A masked strike is decided before batching and takes no lane slot.
+  const LaneCounts counts = LaneCounts::read() - before;
+  EXPECT_EQ(counts.filled + counts.masked, plan.size());
+  EXPECT_EQ(counts.batches, (counts.filled + 63) / 64);
+}
+
+TEST_F(LaneCampaignTest, AllMaskedPlanRunsNoBatch) {
+  // Every net at every width class, each pulse ending 10 ps before the
+  // aperture at every D pin it reaches: the whole plan is decided before
+  // batching, and the report is still the scalar pool's.
+  const std::size_t cycles = 6;
+  const double setup = context_->setup_ps;
+  set::StrikePlan plan;
+  for (std::size_t n = 0; n < netlist_.num_nets(); ++n) {
+    for (double width : {0.0, params_.delta.value() * 0.5,
+                         params_.delta.value() + 400.0}) {
+      set::PlannedStrike p;
+      p.index = plan.strikes.size();
+      p.klass = set::StrikeClass::kFunctional;
+      p.cycle = p.index % (cycles + 1);
+      p.strike.node = NetId{n};
+      p.strike.width = Picoseconds(width);
+      p.strike.start = Picoseconds(
+          reaches_d_pin(NetId{n}) ? aperture_start(NetId{n}, width) - setup -
+                                        10.0
+                                  : 300.0);
+      plan.strikes.push_back(p);
+    }
+  }
+
+  campaign::EngineOptions opts;
+  opts.seed = 8;
+  opts.cycles_per_run = cycles;
+  const LaneCounts counts = expect_lane_reports_match_scalar(
+      netlist_, params_, period_, plan, opts, "all-masked");
+  // Three lane widths at two jobs values each.
+  EXPECT_EQ(counts.masked, 6 * plan.size());
+  EXPECT_EQ(counts.filled, 0u);
+  EXPECT_EQ(counts.batches, 0u);
 }
 
 // A paper-scale design: C880's 60 PIs × 10 cycles span ten 64-bit
